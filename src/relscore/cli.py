@@ -207,8 +207,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _check_prune_eps(args) -> None:
+    if args.method != "tsne" and args.prune_eps is not None:
+        raise UsageError("--prune-eps applies to --method tsne only")
+
+
 def _cmd_graph(args) -> int:
     started = time.monotonic()
+    _check_prune_eps(args)
     dataset, _, inputs = _load_inputs(args)
     graph = _build_from_flags(args, dataset)
     out = _out_path(args.out)
@@ -228,8 +234,6 @@ def _build_from_flags(args, dataset):
         raise UsageError("--method umap requires --n-neighbors")
     if args.perplexity is not None:
         raise UsageError("--perplexity applies to --method tsne only")
-    if args.prune_eps is not None:
-        raise UsageError("--prune-eps applies to --method tsne only")
     return build_umap_graph(dataset, args.n_neighbors)
 
 
@@ -283,6 +287,7 @@ def _parse_k_values(args) -> list:
 
 def _cmd_sweep(args) -> int:
     started = time.monotonic()
+    _check_prune_eps(args)
     dataset, labels, inputs = _load_inputs(args)
     k_values = _parse_k_values(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
@@ -304,6 +309,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_estimate(args) -> int:
     started = time.monotonic()
+    _check_prune_eps(args)
     dataset, labels, inputs = _load_inputs(args)
     config = OptimizerConfig(
         k_min=args.k_min,

@@ -54,6 +54,15 @@ class Dataset:
         if not np.isfinite(values).all():
             r, c = np.argwhere(~np.isfinite(values))[0]
             raise DatasetError(f"non-finite value at row {r}, feature {c}")
+        # the summed squared per-feature ranges bound every squared
+        # pairwise distance, so a finite sum means no distance overflows
+        with np.errstate(over="ignore"):
+            spread = np.sum((values.max(axis=0) - values.min(axis=0)) ** 2)
+        if not np.isfinite(spread):
+            raise DatasetError(
+                "coordinates out of range: squared distances between rows "
+                "overflow double precision; rescale the features"
+            )
         ids = self.ids
         if ids is None:
             ids = tuple(range(n))

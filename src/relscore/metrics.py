@@ -13,6 +13,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .datasets import Dataset, LabelAssignment
 from .graphs import (
@@ -99,31 +101,12 @@ class ComponentAssignment:
         object.__setattr__(self, "component_ids", ids)
 
     def size_of(self, vertex: int) -> int:
-        return int(np.count_nonzero(self.component_ids == self.component_ids[vertex]))
+        return int(self.sizes()[vertex])
 
     def sizes(self) -> np.ndarray:
         """Component size per vertex."""
         counts = np.bincount(self.component_ids, minlength=self.component_ids.size)
         return counts[self.component_ids]
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]  # path halving
-            a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra  # smaller root wins: canonical min member
 
 
 def _check_cover(graph: RelationshipGraph, labels: LabelAssignment) -> None:
@@ -135,58 +118,76 @@ def _check_cover(graph: RelationshipGraph, labels: LabelAssignment) -> None:
 
 def intra_label_components(graph: RelationshipGraph,
                            labels: LabelAssignment) -> ComponentAssignment:
-    """Union-find over same-label edges only; every component is label-pure."""
+    """Connected components of the same-label edges; each is label-pure."""
     _check_cover(graph, labels)
+    n = graph.n_vertices
     lab = labels.labels
-    uf = _UnionFind(graph.n_vertices)
     intra = lab[graph.edges_i] == lab[graph.edges_j]
-    for a, b in zip(graph.edges_i[intra].tolist(), graph.edges_j[intra].tolist()):
-        uf.union(a, b)
-    component_ids = np.fromiter(
-        (uf.find(v) for v in range(graph.n_vertices)),
-        dtype=np.int64,
-        count=graph.n_vertices,
-    )
-    return ComponentAssignment(component_ids)
+    ei, ej = graph.edges_i[intra], graph.edges_j[intra]
+    adj = csr_matrix((np.ones(ei.size, dtype=np.int8), (ei, ej)), shape=(n, n))
+    n_comp, raw = connected_components(adj, directed=False)
+    # canonical id: the smallest member vertex of each component
+    smallest = np.full(n_comp, n, dtype=np.int64)
+    np.minimum.at(smallest, raw, np.arange(n))
+    return ComponentAssignment(smallest[raw])
 
 
 def classify_neighbors(graph: RelationshipGraph, labels: LabelAssignment,
-                       vertex: int,
-                       components: ComponentAssignment | None = None) -> VertexTallies:
+                       vertex: int) -> VertexTallies:
     """Partition the vertex's neighborhood by label equality.
 
-    Weights accumulate in ascending neighbor-id order.  Pass precomputed
-    components to avoid an O(V+E) pass per call.
+    Neighbor ids ascend; the tallies are the vertex's entries of the
+    whole-graph pass behind report, so they match it bit for bit.
     """
-    _check_cover(graph, labels)
-    n = graph.n_vertices
+    stats = _compute_stats(graph, labels)
     vertex = int(vertex)
-    if not 0 <= vertex < n:
-        raise MetricsError(f"vertex {vertex} outside 0..{n - 1}")
-    offsets, neighbors, weights = graph.adjacency()
-    seg = slice(offsets[vertex], offsets[vertex + 1])
-    ids = neighbors[seg]
-    ws = weights[seg]
-    same = labels.labels[ids] == labels.labels[vertex]
-    same_total = int(np.count_nonzero(labels.labels == labels.labels[vertex]))
-    if components is None:
-        components = intra_label_components(graph, labels)
+    if not 0 <= vertex < stats.n:
+        raise MetricsError(f"vertex {vertex} outside 0..{stats.n - 1}")
+    offsets, neighbors, _ = graph.adjacency()
+    ids = neighbors[offsets[vertex]:offsets[vertex + 1]]
+    same = stats.label_ids[ids] == stats.label_ids[vertex]
     return VertexTallies(
         vertex=vertex,
-        tp_ids=tuple(int(i) for i in ids[same]),
-        fp_ids=tuple(int(i) for i in ids[~same]),
-        tp_weight=float(np.sum(ws[same])),
-        fp_weight=float(np.sum(ws[~same])),
-        fn_edge_count=same_total - 1 - int(np.count_nonzero(same)),
-        fn_component_count=same_total - components.size_of(vertex),
+        tp_ids=tuple(ids[same].tolist()),
+        fp_ids=tuple(ids[~same].tolist()),
+        tp_weight=float(stats.tp_weight[vertex]),
+        fp_weight=float(stats.fp_weight[vertex]),
+        fn_edge_count=int(stats.fn_edge[vertex]),
+        fn_component_count=int(stats.fn_component[vertex]),
     )
+
+
+def _precision(tp_weight, fp_weight, degree) -> np.ndarray:
+    out = np.ones(np.shape(tp_weight))
+    np.divide(tp_weight, tp_weight + fp_weight, out=out, where=degree > 0)
+    return out
+
+
+def _recall(tp_count, fn_edge, fn_component, alpha: float) -> np.ndarray:
+    # denominator arranged as tp + fnc + alpha*(fn - fnc): same value as
+    # tp + alpha*fn + (1-alpha)*fnc but exactly nonincreasing in alpha
+    # under round-to-nearest
+    tp = np.asarray(tp_count, dtype=float)
+    fn = np.asarray(fn_edge, dtype=float)
+    fnc = np.asarray(fn_component, dtype=float)
+    out = np.ones(tp.shape)
+    np.divide(tp, tp + fnc + alpha * (fn - fnc), out=out, where=(tp + fn) > 0)
+    return out
+
+
+def _fscore(precision, recall, beta: float) -> np.ndarray:
+    b2 = beta * beta
+    num = (b2 + 1.0) * precision * recall
+    den = b2 * precision + recall
+    out = np.zeros(np.shape(precision))
+    np.divide(num, den, out=out, where=den > 0)
+    return out
 
 
 def precision_vertex(tallies: VertexTallies) -> float:
     """Weighted share of same-label attraction; 1 for an isolated vertex."""
-    if len(tallies.tp_ids) + len(tallies.fp_ids) == 0:
-        return 1.0
-    return tallies.tp_weight / (tallies.tp_weight + tallies.fp_weight)
+    degree = len(tallies.tp_ids) + len(tallies.fp_ids)
+    return float(_precision(tallies.tp_weight, tallies.fp_weight, degree))
 
 
 def recall_vertex(tallies: VertexTallies, alpha: float) -> float:
@@ -196,15 +197,8 @@ def recall_vertex(tallies: VertexTallies, alpha: float) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise MetricsError(f"alpha must be in [0, 1], got {alpha}")
-    tp = len(tallies.tp_ids)
-    fn = tallies.fn_edge_count
-    fnc = tallies.fn_component_count
-    if tp + fn == 0:
-        return 1.0
-    # denominator arranged as tp + fnc + alpha*(fn - fnc): same value as
-    # tp + alpha*fn + (1-alpha)*fnc but exactly nonincreasing in alpha
-    # under round-to-nearest
-    return tp / (tp + fnc + alpha * (fn - fnc))
+    return float(_recall(len(tallies.tp_ids), tallies.fn_edge_count,
+                         tallies.fn_component_count, alpha))
 
 
 def fscore_vertex(precision: float, recall: float, beta: float) -> float:
@@ -213,11 +207,7 @@ def fscore_vertex(precision: float, recall: float, beta: float) -> float:
         raise MetricsError(f"beta must be positive, got {beta}")
     if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
         raise MetricsError("precision and recall must lie in [0, 1]")
-    b2 = beta * beta
-    den = b2 * precision + recall
-    if den == 0.0:
-        return 0.0
-    return (b2 + 1.0) * precision * recall / den
+    return float(_fscore(precision, recall, beta))
 
 
 @dataclass(frozen=True)
@@ -244,16 +234,13 @@ def _compute_stats(graph: RelationshipGraph, labels: LabelAssignment) -> _GraphS
     n_labels = len(labels.vocabulary)
     # directed view sorted by (source, neighbor): bincount then accumulates
     # each vertex's weights in ascending neighbor-id order
-    src = np.concatenate([graph.edges_i, graph.edges_j])
-    dst = np.concatenate([graph.edges_j, graph.edges_i])
-    w = np.concatenate([graph.weights, graph.weights])
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
+    offsets, dst, w = graph.adjacency()
+    degree = np.diff(offsets)
+    src = np.repeat(np.arange(n), degree)
     same = lab[src] == lab[dst]
     tp_weight = np.bincount(src[same], weights=w[same], minlength=n)
     fp_weight = np.bincount(src[~same], weights=w[~same], minlength=n)
     tp_count = np.bincount(src[same], minlength=n)
-    degree = np.bincount(src, minlength=n)
     same_total = np.bincount(lab, minlength=n_labels)[lab]
     fn_edge = same_total - 1 - tp_count
     comp_sizes = intra_label_components(graph, labels).sizes()
@@ -277,30 +264,17 @@ def _compute_stats(graph: RelationshipGraph, labels: LabelAssignment) -> _GraphS
     )
 
 
-def _precision_array(stats: _GraphStats) -> np.ndarray:
-    out = np.ones(stats.n)
-    denom = stats.tp_weight + stats.fp_weight
-    np.divide(stats.tp_weight, denom, out=out, where=stats.degree > 0)
-    return out
+def _vertex_scores(stats: _GraphStats, alpha: float, beta: float):
+    """(precision, recall, fscore) per vertex."""
+    precision = _precision(stats.tp_weight, stats.fp_weight, stats.degree)
+    recall = _recall(stats.tp_count, stats.fn_edge, stats.fn_component, alpha)
+    return precision, recall, _fscore(precision, recall, beta)
 
 
-def _recall_array(stats: _GraphStats, alpha: float) -> np.ndarray:
-    tp = stats.tp_count.astype(float)
-    fn = stats.fn_edge.astype(float)
-    fnc = stats.fn_component.astype(float)
-    out = np.ones(stats.n)
-    denom = tp + fnc + alpha * (fn - fnc)
-    np.divide(tp, denom, out=out, where=(stats.tp_count + stats.fn_edge) > 0)
-    return out
-
-
-def _fscore_array(precision: np.ndarray, recall: np.ndarray, beta: float) -> np.ndarray:
-    b2 = beta * beta
-    num = (b2 + 1.0) * precision * recall
-    den = b2 * precision + recall
-    out = np.zeros(precision.size)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
+def _label_means(stats: _GraphStats, values: np.ndarray) -> list[float]:
+    """Mean of a per-vertex value over each present label, in label-id order."""
+    return [float(values[stats.label_ids == lid].mean())
+            for lid in stats.present.tolist()]
 
 
 def _balanced_mean(values) -> float:
@@ -406,11 +380,9 @@ class MetricReport:
 def _label_summaries(stats: _GraphStats, precision, recall, fscore,
                      threshold: float) -> dict[str, LabelSummary]:
     out: dict[str, LabelSummary] = {}
-    for lid in stats.present.tolist():
-        members = np.flatnonzero(stats.label_ids == lid)
-        p = float(precision[members].mean())
-        r = float(recall[members].mean())
-        f = float(fscore[members].mean())
+    sizes = np.bincount(stats.label_ids)
+    for lid, p, r, f in zip(stats.present.tolist(), _label_means(stats, precision),
+                            _label_means(stats, recall), _label_means(stats, fscore)):
         row = stats.label_weight[lid]
         # ascending-value sum: the total cannot shift under relabeling
         total = float(np.sort(row).sum())
@@ -429,7 +401,7 @@ def _label_summaries(stats: _GraphStats, precision, recall, fscore,
         name = stats.vocabulary[lid]
         out[name] = LabelSummary(
             label=name,
-            size=int(members.size),
+            size=int(sizes[lid]),
             precision=p,
             recall=r,
             fscore=f,
@@ -445,9 +417,7 @@ def report(graph: RelationshipGraph, labels: LabelAssignment,
            config: MetricConfig = MetricConfig()) -> MetricReport:
     """Score the whole graph: per vertex, per label, and globally."""
     stats = _compute_stats(graph, labels)
-    precision = _precision_array(stats)
-    recall = _recall_array(stats, config.alpha)
-    fscore = _fscore_array(precision, recall, config.beta)
+    precision, recall, fscore = _vertex_scores(stats, config.alpha, config.beta)
     per_label = _label_summaries(
         stats, precision, recall, fscore, config.quadrant_threshold
     )
@@ -512,28 +482,6 @@ def _build_graph(method: str, dataset: Dataset, k, prune_eps):
     raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
 
 
-def _global_triple(stats: _GraphStats, config: MetricConfig):
-    """(precision, recall_a0, recall_a1, fscore) label-balanced globals."""
-    precision = _precision_array(stats)
-    recall_cfg = _recall_array(stats, config.alpha)
-    fscore = _fscore_array(precision, recall_cfg, config.beta)
-    recall_a0 = _recall_array(stats, 0.0)
-    recall_a1 = _recall_array(stats, 1.0)
-    per = {"p": [], "r0": [], "r1": [], "f": []}
-    for lid in stats.present.tolist():
-        members = np.flatnonzero(stats.label_ids == lid)
-        per["p"].append(float(precision[members].mean()))
-        per["r0"].append(float(recall_a0[members].mean()))
-        per["r1"].append(float(recall_a1[members].mean()))
-        per["f"].append(float(fscore[members].mean()))
-    return (
-        _balanced_mean(per["p"]),
-        _balanced_mean(per["r0"]),
-        _balanced_mean(per["r1"]),
-        _balanced_mean(per["f"]),
-    )
-
-
 def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
           config: MetricConfig = MetricConfig(),
           prune_eps: float | None = None) -> SweepResult:
@@ -549,7 +497,11 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
         try:
             graph = _build_graph(method, dataset, k, prune_eps)
             stats = _compute_stats(graph, labels)
-            p, r0, r1, f = _global_triple(stats, config)
+            precision, _, fscore = _vertex_scores(stats, config.alpha, config.beta)
+            recall_a0 = _recall(stats.tp_count, stats.fn_edge, stats.fn_component, 0.0)
+            recall_a1 = _recall(stats.tp_count, stats.fn_edge, stats.fn_component, 1.0)
+            p, r0, r1, f = (_balanced_mean(_label_means(stats, values))
+                            for values in (precision, recall_a0, recall_a1, fscore))
             rows.append(SweepRow(k, p, r0, r1, f))
         except (GraphError, MetricsError) as exc:
             rows.append(SweepRow(k, None, None, None, None, str(exc)))

@@ -137,6 +137,13 @@ class TestSweep:
                    "--k-list", "2", "--k-min", "2", "--k-max", "9",
                    "--out", str(tmp_path / "s.csv")) == 1
 
+    def test_prune_eps_rejected_for_umap(self, blobs_csv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--data", str(blobs_csv), "--method", "umap",
+                   "--k-list", "5", "--prune-eps", "0.1", "--out", str(out)) == 1
+        assert "--prune-eps applies to --method tsne only" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_writes_trace_and_summary(self, blobs_csv, tmp_path, capsys):
@@ -150,6 +157,15 @@ class TestEstimate:
         doc = json.loads(trace.read_text())
         assert len(doc["trials"]) == 8
         assert doc["best"]["k"] == summary["k"]
+
+    def test_prune_eps_rejected_for_umap(self, blobs_csv, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        assert run("estimate", "--data", str(blobs_csv), "--method", "umap",
+                   "--k-min", "2", "--k-max", "10", "--budget", "3",
+                   "--n-init", "2", "--prune-eps", "0.1",
+                   "--trace", str(trace)) == 1
+        assert "--prune-eps applies to --method tsne only" in capsys.readouterr().err
+        assert not trace.exists()
 
 
 class TestVerifyExport:

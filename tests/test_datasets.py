@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,20 @@ class TestDatasetInvariants:
     def test_vocabulary_not_larger_than_n(self):
         with pytest.raises(DatasetError):
             LabelAssignment(np.array([0, 1]), ("a", "b", "c"))
+
+    def test_rejects_coordinates_whose_distances_overflow(self):
+        data, _ = preset("three-blobs", seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="out of range"):
+                Dataset(data.values * 1e200)
+
+    def test_rejects_range_that_overflows_itself(self):
+        with pytest.raises(DatasetError, match="out of range"):
+            Dataset(np.array([[-1e308], [1e308]]))
+
+    def test_large_but_representable_coordinates_kept(self):
+        values = np.array([[0.0, 0.0], [5e153, 5e153]])
+        assert Dataset(values).values.tobytes() == values.tobytes()
+        with pytest.raises(DatasetError, match="out of range"):
+            Dataset(np.array([[0.0, 0.0], [1e154, 1e155]]))

@@ -144,6 +144,24 @@ class TestVertexScores:
         assert fscore_vertex(0.0, 0.0, 2.0) == 0.0
 
 
+class TestScalarViewsMatchReport:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_for_every_vertex(self, seed):
+        from relscore.oracle import random_graph
+
+        graph, labels = random_graph(25, 3, 0.3, seed)
+        for alpha in (0.0, 0.3, 1.0):
+            for beta in (1.0, 2.0):
+                rep = report(graph, labels, MetricConfig(alpha=alpha, beta=beta))
+                for v in range(graph.n_vertices):
+                    t = classify_neighbors(graph, labels, v)
+                    p = precision_vertex(t)
+                    r = recall_vertex(t, alpha)
+                    assert p == rep.vertex_precision[v]
+                    assert r == rep.vertex_recall[v]
+                    assert fscore_vertex(p, r, beta) == rep.vertex_fscore[v]
+
+
 class TestReport:
     def test_mismatched_counts_named(self):
         graph = make_graph(4, [(0, 1, 1.0)])
@@ -250,20 +268,22 @@ class TestSweep:
         result = sweep(data, labels, "tsne", [])
         assert result.rows == ()
 
-    def test_single_entry_matches_report(self):
-        from relscore.graphs import build_tsne_graph
+    @pytest.mark.parametrize("method", ["tsne", "umap"])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_single_entry_matches_report(self, method, beta):
+        from relscore.graphs import build_tsne_graph, build_umap_graph
 
         data, labels = preset("three-blobs", seed=7)
-        config = MetricConfig(alpha=1.0, beta=1.0)
-        result = sweep(data, labels, "tsne", [10], config)
-        assert len(result.rows) == 1
-        row = result.rows[0]
-        rep = report(build_tsne_graph(data, 10.0), labels, config)
+        config = MetricConfig(alpha=1.0, beta=beta)
+        row, = sweep(data, labels, method, [10], config).rows
+        graph = (build_tsne_graph(data, 10.0) if method == "tsne"
+                 else build_umap_graph(data, 10))
+        rep = report(graph, labels, config)
         assert row.precision == rep.global_precision
         assert row.fscore == rep.global_fscore
-        rep0 = report(build_tsne_graph(data, 10.0), labels,
-                      MetricConfig(alpha=0.0))
-        assert row.recall_a0 == rep0.global_recall
+        for alpha, recall in ((0.0, row.recall_a0), (1.0, row.recall_a1)):
+            other = report(graph, labels, MetricConfig(alpha=alpha, beta=beta))
+            assert recall == other.global_recall
 
     def test_failed_k_annotates_row(self):
         data, labels = preset("three-blobs", seed=7)
