@@ -30,6 +30,7 @@ from .graphs import (
     build_tsne_graph,
     build_umap_graph,
     load_graph,
+    neighbor_count,
     save_graph,
     tsne_calibration,
     umap_calibration,
@@ -56,7 +57,7 @@ from .optimizer import (
     estimate,
     expected_improvement,
 )
-from .oracle import OracleError, brute_force_report, random_graph
+from .oracle import OracleError, brute_force_knn, brute_force_report, random_graph
 
 __all__ = [
     "__version__",
@@ -82,6 +83,7 @@ __all__ = [
     "build_tsne_graph",
     "build_umap_graph",
     "load_graph",
+    "neighbor_count",
     "save_graph",
     "tsne_calibration",
     "umap_calibration",
@@ -104,6 +106,7 @@ __all__ = [
     "estimate",
     "expected_improvement",
     "OracleError",
+    "brute_force_knn",
     "brute_force_report",
     "random_graph",
 ]

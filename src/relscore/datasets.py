@@ -55,13 +55,21 @@ class Dataset:
             r, c = np.argwhere(~np.isfinite(values))[0]
             raise DatasetError(f"non-finite value at row {r}, feature {c}")
         # the summed squared per-feature ranges bound every squared
-        # pairwise distance, so a finite sum means no distance overflows
-        with np.errstate(over="ignore"):
-            spread = np.sum((values.max(axis=0) - values.min(axis=0)) ** 2)
+        # pairwise distance, so a finite sum means no distance overflows;
+        # distinct rows with a sum below the smallest normal double would
+        # get squared distances that underflow to zero or lose precision
+        with np.errstate(over="ignore", under="ignore"):
+            ranges = values.max(axis=0) - values.min(axis=0)
+            spread = np.sum(ranges ** 2)
         if not np.isfinite(spread):
             raise DatasetError(
                 "coordinates out of range: squared distances between rows "
                 "overflow double precision; rescale the features"
+            )
+        if ranges.max() > 0 and spread < np.finfo(float).tiny:
+            raise DatasetError(
+                "coordinates out of range: squared distances between rows "
+                "underflow double precision; rescale the features"
             )
         ids = self.ids
         if ids is None:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .datasets import Dataset
-from .knn import exact_knn
+from .knn import NeighborLists, exact_knn
 
 __all__ = [
     "GraphError",
@@ -26,6 +26,7 @@ __all__ = [
     "BandwidthCalibration",
     "build_tsne_graph",
     "build_umap_graph",
+    "neighbor_count",
     "tsne_calibration",
     "umap_calibration",
     "fuzzy_union",
@@ -193,10 +194,36 @@ def _bisect_bandwidth(row_objective, n, target, tol, skip=None):
     return sigma, achieved, converged
 
 
-def _tsne_parts(dataset: Dataset, perplexity: float):
-    n = dataset.n
-    k = min(math.ceil(3.0 * perplexity), n - 1)
-    nbrs = exact_knn(dataset, k)
+def neighbor_count(method: str, n: int, k) -> int:
+    """Neighbors per vertex a `method` graph over n vertices reads at size k.
+
+    t-SNE reads min(ceil(3*perplexity), N-1) candidates, UMAP reads
+    n_neighbors.  k is validated first, with the builders' messages.
+    """
+    if method == "tsne":
+        _check_perplexity(n, k)
+        return min(math.ceil(3.0 * float(k)), n - 1)
+    if method == "umap":
+        _check_n_neighbors(n, k)
+        return int(k)
+    raise GraphError(f"method must be 'tsne' or 'umap', got {method!r}")
+
+
+def _neighbor_lists(dataset: Dataset, count: int,
+                    neighbors: NeighborLists | None) -> NeighborLists:
+    """The count nearest per vertex: a fresh kNN pass, or a prefix of `neighbors`."""
+    if neighbors is None:
+        return exact_knn(dataset, count)
+    if neighbors.n != dataset.n or neighbors.k < count:
+        raise GraphError(
+            f"neighbors hold {neighbors.k} per vertex for {neighbors.n} "
+            f"vertices, need {count} for {dataset.n}"
+        )
+    return neighbors.prefix(count)
+
+
+def _tsne_parts(nbrs: NeighborLists, perplexity: float):
+    n = nbrs.n
     d2 = nbrs.distances * nbrs.distances
     d2s = d2 - d2[:, :1]  # shift by the row minimum: conditionals unchanged
 
@@ -219,8 +246,8 @@ def _tsne_parts(dataset: Dataset, perplexity: float):
 
 def tsne_calibration(dataset: Dataset, perplexity: float) -> BandwidthCalibration:
     """Bandwidths solving 2^H(p_.|i) = perplexity over the candidate neighbors."""
-    _check_perplexity(dataset.n, perplexity)
-    _, cal, _ = _tsne_parts(dataset, perplexity)
+    count = neighbor_count("tsne", dataset.n, perplexity)
+    _, cal, _ = _tsne_parts(exact_knn(dataset, count), perplexity)
     return cal
 
 
@@ -230,7 +257,8 @@ def _check_perplexity(n, perplexity):
 
 
 def build_tsne_graph(dataset: Dataset, perplexity: float,
-                     prune_eps: float | None = None) -> RelationshipGraph:
+                     prune_eps: float | None = None, *,
+                     neighbors: NeighborLists | None = None) -> RelationshipGraph:
     """Symmetrized conditional-probability graph over candidate neighborhoods.
 
     Candidates are the min(ceil(3*perplexity), N-1) nearest neighbors.
@@ -238,16 +266,18 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
     effective neighborhood size (2^entropy) matches the perplexity; weights
     are (p_{j|i} + p_{i|j}) / (2N) and pairs at or below prune_eps are
     dropped.  Non-converged vertices keep a clamped bandwidth and are
-    counted in the provenance options.
+    counted in the provenance options.  Given `neighbors` (lists of at
+    least that many per vertex), the candidates are their prefix and no
+    kNN pass runs; the graph is the same.
     """
     n = dataset.n
-    _check_perplexity(n, perplexity)
+    count = neighbor_count("tsne", n, perplexity)
     if prune_eps is None:
         prune_eps = default_prune_eps(n)
     prune_eps = float(prune_eps)
     if prune_eps < 0:
         raise GraphError(f"prune_eps must be nonnegative, got {prune_eps}")
-    nbrs, cal, p = _tsne_parts(dataset, perplexity)
+    nbrs, cal, p = _tsne_parts(_neighbor_lists(dataset, count, neighbors), perplexity)
     ei, ej, w = _symmetrize_sum(n, nbrs.indices, p)
     w = w / (2.0 * n)
     keep = w > prune_eps
@@ -303,9 +333,8 @@ def fuzzy_union(w_a: float, w_b: float):
     return hi + lo * (1.0 - hi)
 
 
-def _umap_parts(dataset: Dataset, n_neighbors: int):
-    n = dataset.n
-    nbrs = exact_knn(dataset, n_neighbors)
+def _umap_parts(nbrs: NeighborLists):
+    n, n_neighbors = nbrs.n, nbrs.k
     rho = nbrs.distances[:, 0]
     adj = np.maximum(nbrs.distances - rho[:, None], 0.0)
     # all candidates at distance rho: membership sum is k for any sigma
@@ -327,8 +356,8 @@ def _umap_parts(dataset: Dataset, n_neighbors: int):
 
 def umap_calibration(dataset: Dataset, n_neighbors: int) -> BandwidthCalibration:
     """Bandwidths solving sum_j exp(-max(0, d_ij - rho_i)/sigma_i) = log2(k)."""
-    _check_n_neighbors(dataset.n, n_neighbors)
-    _, cal, _ = _umap_parts(dataset, n_neighbors)
+    count = neighbor_count("umap", dataset.n, n_neighbors)
+    _, cal, _ = _umap_parts(exact_knn(dataset, count))
     return cal
 
 
@@ -339,16 +368,19 @@ def _check_n_neighbors(n, n_neighbors):
         raise GraphError(f"n_neighbors must be in [2, {n - 1}], got {n_neighbors}")
 
 
-def build_umap_graph(dataset: Dataset, n_neighbors: int) -> RelationshipGraph:
+def build_umap_graph(dataset: Dataset, n_neighbors: int, *,
+                     neighbors: NeighborLists | None = None) -> RelationshipGraph:
     """Fuzzy-union membership graph over the n_neighbors nearest neighbors.
 
     rho_i is the distance to the nearest neighbor (zero for duplicates);
     directed memberships exp(-max(0, d - rho_i)/sigma_i) are combined with
-    the probabilistic OR; zero-weight pairs are omitted.
+    the probabilistic OR; zero-weight pairs are omitted.  Given
+    `neighbors` (lists of at least n_neighbors per vertex), their prefix
+    is used and no kNN pass runs; the graph is the same.
     """
     n = dataset.n
-    _check_n_neighbors(n, n_neighbors)
-    nbrs, cal, memberships = _umap_parts(dataset, int(n_neighbors))
+    count = neighbor_count("umap", n, n_neighbors)
+    nbrs, cal, memberships = _umap_parts(_neighbor_lists(dataset, count, neighbors))
     i, j, first, second = _pair_groups(n, nbrs.indices, memberships)
     w = fuzzy_union(first, second)
     keep = w > 0.0

@@ -2,6 +2,18 @@
 
 Brute force O(N^2 m) on purpose: neighborhood correctness is the whole
 point downstream, so no approximate index is used.
+
+Squared distances are computed one block of rows at a time.  A block
+holds at most 2**20 // N rows, so each N-wide temporary stays at or
+under 8 MiB whatever N is.  Each row is accumulated independently of
+its block, so the block size never changes a bit of the result.
+
+Selection avoids a full-row sort: `np.partition` finds the k-th
+smallest squared distance of each row, every column strictly below it
+is kept, ties at it are kept in ascending id up to k, and only the k
+kept values are stably sorted.  The lists therefore equal the first k
+columns of a stable full-row argsort, ordered by (distance, id), and
+the top-k lists are exact prefixes of the top-K lists for every k <= K.
 """
 
 from __future__ import annotations
@@ -13,6 +25,8 @@ import numpy as np
 from .datasets import Dataset
 
 __all__ = ["NeighborLists", "KnnError", "euclidean", "exact_knn"]
+
+_BLOCK_DOUBLES = 1 << 20  # per N-wide block temporary: 8 MiB
 
 
 class KnnError(ValueError):
@@ -39,6 +53,22 @@ class NeighborLists:
     def n(self) -> int:
         return self.indices.shape[0]
 
+    def prefix(self, k: int) -> NeighborLists:
+        """The k nearest per vertex, as contiguous copies of the first k columns.
+
+        Lists ordered by (distance, id) make this exactly what a k-query
+        would return.
+        """
+        k = int(k)
+        if not 1 <= k <= self.k:
+            raise KnnError(f"prefix k must be in [1, {self.k}], got {k}")
+        return NeighborLists(
+            indices=np.ascontiguousarray(self.indices[:, :k]),
+            distances=np.ascontiguousarray(self.distances[:, :k]),
+            k=k,
+            metric=self.metric,
+        )
+
 
 def euclidean(a, b) -> float:
     """Euclidean norm of a - b; the vectors must share one dimension."""
@@ -51,23 +81,57 @@ def euclidean(a, b) -> float:
 
 
 def _squared_distance_block(values: np.ndarray, rows: slice) -> np.ndarray:
-    # Accumulate (a-b)^2 feature by feature: keeps peak memory at
-    # chunk*N doubles and makes d2[i,j] == d2[j,i] exactly, since both
-    # sides sum identical squares in the same feature order.
+    # Accumulate (a-b)^2 feature by feature: keeps peak memory at two
+    # chunk*N temporaries and makes d2[i,j] == d2[j,i] exactly, since
+    # both sides sum identical squares in the same feature order.
     block = values[rows]
     d2 = np.zeros((block.shape[0], values.shape[0]))
+    diff = np.empty_like(d2)
     for f in range(values.shape[1]):
-        diff = block[:, f][:, None] - values[:, f][None, :]
-        d2 += diff * diff
+        np.subtract(block[:, f, None], values[None, :, f], out=diff)
+        np.multiply(diff, diff, out=diff)
+        d2 += diff
     return d2
 
 
-def exact_knn(dataset: Dataset, k: int, chunk: int = 512) -> NeighborLists:
-    """The k nearest other vertices per vertex, ties broken by smaller id."""
+def _smallest_stable(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of the k smallest entries per row, ordered by (value, id).
+
+    Equal to np.argsort(d2, axis=1, kind="stable")[:, :k]; d2 must hold
+    no NaN.
+    """
+    if k >= d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1, None]
+    keep = d2 <= kth
+    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if tied.size:
+        # more than k entries at or below the k-th value: keep those
+        # strictly below, then the smallest ids among those equal to it
+        rows, at_kth = d2[tied], kth[tied]
+        below = rows < at_kth
+        at = rows == at_kth
+        room = k - np.count_nonzero(below, axis=1)
+        keep[tied] = below | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+    cols = np.nonzero(keep)[1].reshape(-1, k)  # ascending id per row
+    order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
+def exact_knn(dataset: Dataset, k: int, chunk: int | None = None) -> NeighborLists:
+    """The k nearest other vertices per vertex, ties broken by smaller id.
+
+    `chunk` overrides the number of rows per distance block (default
+    2**20 // N, at least 1); it never changes the result.
+    """
     n = dataset.n
     k = int(k)
     if not 1 <= k <= n - 1:
         raise KnnError(f"k must be in [1, {n - 1}], got {k}")
+    if chunk is None:
+        chunk = max(1, _BLOCK_DOUBLES // n)
+    if chunk < 1:
+        raise KnnError(f"chunk must be positive, got {chunk}")
     values = dataset.values
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
@@ -76,8 +140,7 @@ def exact_knn(dataset: Dataset, k: int, chunk: int = 512) -> NeighborLists:
         d2 = _squared_distance_block(values, slice(start, stop))
         rows = np.arange(start, stop)
         d2[rows - start, rows] = np.inf  # exclude self (duplicates keep 0)
-        # stable sort: equal distances keep ascending id order
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        order = _smallest_stable(d2, k)
         indices[start:stop] = order
         distances[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
     return NeighborLists(indices=indices, distances=distances, k=k)

@@ -23,7 +23,9 @@ from .graphs import (
     RelationshipGraph,
     build_tsne_graph,
     build_umap_graph,
+    neighbor_count,
 )
+from .knn import NeighborLists, exact_knn
 
 __all__ = [
     "MetricsError",
@@ -472,14 +474,26 @@ class SweepResult:
         }
 
 
-def _build_graph(method: str, dataset: Dataset, k, prune_eps):
+def _build_graph(method: str, dataset: Dataset, k, prune_eps,
+                 neighbors: NeighborLists | None):
     if method == "tsne":
-        return build_tsne_graph(dataset, float(k), prune_eps)
+        return build_tsne_graph(dataset, float(k), prune_eps, neighbors=neighbors)
     if method == "umap":
         if int(k) != k:
             raise GraphError(f"n_neighbors must be an integer, got {k}")
-        return build_umap_graph(dataset, int(k))
+        return build_umap_graph(dataset, int(k), neighbors=neighbors)
     raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
+
+
+def _shared_neighbors(method: str, dataset: Dataset, ks) -> NeighborLists | None:
+    """One kNN pass deep enough for every valid k; None when no k is valid."""
+    counts = []
+    for k in ks:
+        try:
+            counts.append(neighbor_count(method, dataset.n, k))
+        except GraphError:
+            continue
+    return exact_knn(dataset, max(counts)) if counts else None
 
 
 def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
@@ -488,14 +502,17 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
     """Global metrics per neighborhood size, one row per distinct k.
 
     A failing build annotates its row instead of aborting the sweep.
+    Neighbors are computed once, for the largest count a valid k needs,
+    and every build reads its exact prefix.
     """
     if method not in ("tsne", "umap"):
         raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
     ks = sorted(dict.fromkeys(k_values))
+    neighbors = _shared_neighbors(method, dataset, ks)
     rows = []
     for k in ks:
         try:
-            graph = _build_graph(method, dataset, k, prune_eps)
+            graph = _build_graph(method, dataset, k, prune_eps, neighbors)
             stats = _compute_stats(graph, labels)
             precision, _, fscore = _vertex_scores(stats, config.alpha, config.beta)
             recall_a0 = _recall(stats.tp_count, stats.fn_edge, stats.fn_component, 0.0)

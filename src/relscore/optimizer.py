@@ -17,7 +17,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr
 
 from .datasets import Dataset, LabelAssignment
-from .graphs import GraphError, build_tsne_graph, build_umap_graph
+from .graphs import GraphError, build_tsne_graph, build_umap_graph, neighbor_count
+from .knn import exact_knn
 from .metrics import MetricConfig, MetricsError, report
 
 __all__ = [
@@ -222,7 +223,8 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     replacement; afterwards each round fits the surrogate on all
     successful trials and evaluates the unevaluated integer with the
     highest expected improvement (ties to smaller k).  Hard build errors
-    are recorded as failed trials and kept out of the surrogate.
+    are recorded as failed trials and kept out of the surrogate.  One kNN
+    pass, at k_max, serves every trial as exact prefixes.
     """
     if method not in ("tsne", "umap"):
         raise OptimizerError(f"method must be 'tsne' or 'umap', got {method!r}")
@@ -239,11 +241,14 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
         if label_target not in labels.vocabulary:
             raise OptimizerError(f"unknown target label {label_target!r}")
 
+    # the neighbor count grows with k, so k_max's lists cover every trial
+    neighbors = exact_knn(dataset, neighbor_count(method, n, config.k_max))
+
     def objective(k: int) -> tuple[float, dict[str, float]]:
         if method == "tsne":
-            graph = build_tsne_graph(dataset, float(k), prune_eps)
+            graph = build_tsne_graph(dataset, float(k), prune_eps, neighbors=neighbors)
         else:
-            graph = build_umap_graph(dataset, k)
+            graph = build_umap_graph(dataset, k, neighbors=neighbors)
         rep = report(graph, labels, config.metric)
         per_label = {name: s.fscore for name, s in rep.per_label.items()}
         if label_target is not None:

@@ -2,21 +2,25 @@
 
 Everything here is recomputed from scratch: pairwise scans and repeated
 BFS: sharing only data types with the fast implementation, so the two
-can check each other.  Also provides a seeded random-graph generator for
-the equivalence tests.
+can check each other.  `brute_force_knn` does the same for the exact
+neighbor lists, with a per-vertex scalar scan.  Also provides a seeded
+random-graph generator for the equivalence tests.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
-from .datasets import LabelAssignment
+from .datasets import Dataset, LabelAssignment
 from .graphs import GraphProvenance, RelationshipGraph
+from .knn import NeighborLists
 from .metrics import LabelSummary, MetricConfig, MetricReport
 
-__all__ = ["OracleError", "MAX_VERTICES", "brute_force_report", "random_graph"]
+__all__ = ["OracleError", "MAX_VERTICES", "brute_force_knn", "brute_force_report",
+           "random_graph"]
 
 
 class OracleError(ValueError):
@@ -173,6 +177,40 @@ def brute_force_report(graph: RelationshipGraph, labels: LabelAssignment,
         global_precision=sum(label_p) / len(label_p),
         global_recall=sum(label_r) / len(label_r),
         global_fscore=sum(label_f) / len(label_f),
+    )
+
+
+def brute_force_knn(dataset: Dataset, k: int) -> NeighborLists:
+    """Exact k nearest per vertex by scanning every other row (N <= 1000).
+
+    Squared differences are summed feature by feature in float
+    arithmetic and candidates sorted by (squared distance, id), so ties
+    go to the smaller id.
+    """
+    n = dataset.n
+    if n > MAX_VERTICES:
+        raise OracleError(f"oracle limited to {MAX_VERTICES} vertices, got {n}")
+    if not 1 <= k <= n - 1:
+        raise OracleError(f"k must be in [1, {n - 1}], got {k}")
+    rows = dataset.values.tolist()
+    indices = []
+    distances = []
+    for v, a in enumerate(rows):
+        scan = []
+        for u, b in enumerate(rows):
+            if u == v:
+                continue
+            d2 = 0.0
+            for x, y in zip(a, b):
+                d2 += (x - y) * (x - y)
+            scan.append((d2, u))
+        scan.sort()
+        indices.append([u for _, u in scan[:k]])
+        distances.append([math.sqrt(d2) for d2, _ in scan[:k]])
+    return NeighborLists(
+        indices=np.array(indices, dtype=np.int64).reshape(n, k),
+        distances=np.array(distances, dtype=float).reshape(n, k),
+        k=k,
     )
 
 

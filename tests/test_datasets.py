@@ -257,3 +257,22 @@ class TestDatasetInvariants:
         assert Dataset(values).values.tobytes() == values.tobytes()
         with pytest.raises(DatasetError, match="out of range"):
             Dataset(np.array([[0.0, 0.0], [1e154, 1e155]]))
+
+    def test_rejects_coordinates_whose_distances_underflow(self):
+        data, _ = preset("three-blobs", seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="underflow"):
+                Dataset(data.values * 1e-300)
+        with pytest.raises(DatasetError, match="underflow"):
+            Dataset(np.array([[0.0], [1e-160]]))
+
+    def test_small_but_representable_coordinates_kept(self):
+        data, _ = preset("three-blobs", seed=7)
+        Dataset(data.values * 1e-150)
+        values = np.array([[0.0], [2e-154]])
+        assert Dataset(values).values.tobytes() == values.tobytes()
+
+    def test_identical_rows_kept_at_any_scale(self):
+        for value in (0.0, 1e-300, 5e-324, 1e300):
+            Dataset(np.full((4, 3), value))

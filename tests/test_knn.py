@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from relscore.datasets import Dataset
-from relscore.knn import KnnError, euclidean, exact_knn
+from relscore import knn as knn_module
+from relscore.datasets import Dataset, preset
+from relscore.knn import KnnError, _smallest_stable, euclidean, exact_knn
+from relscore.oracle import MAX_VERTICES, OracleError, brute_force_knn
 
 
 class TestEuclidean:
@@ -104,3 +108,105 @@ class TestExactKnn:
         data = Dataset(np.array([[0.0], [1.0], [2.0], [4.0], [8.0]]))
         with pytest.raises(KnnError, match="k must be in"):
             exact_knn(data, k)
+
+
+class TestSelectionKernel:
+    def test_matches_full_stable_argsort_with_ties_and_inf(self):
+        # few distinct values plus inf: most rows tie at their k-th value
+        rng = np.random.Generator(np.random.PCG64(11))
+        for _ in range(200):
+            rows, cols = rng.integers(1, 12), rng.integers(1, 30)
+            d2 = rng.integers(0, 4, size=(rows, cols)).astype(float)
+            d2[rng.random((rows, cols)) < 0.25] = np.inf
+            full = np.argsort(d2, axis=1, kind="stable")
+            for k in range(1, cols + 2):
+                assert np.array_equal(_smallest_stable(d2, k), full[:, :k])
+
+    def test_all_equal_rows_keep_smallest_ids(self):
+        d2 = np.zeros((3, 9))
+        d2[1] = np.inf
+        assert _smallest_stable(d2, 4).tolist() == [[0, 1, 2, 3]] * 3
+
+
+class TestPrefix:
+    @pytest.mark.parametrize("values", [
+        preset("three-blobs", seed=7)[0].values,
+        np.array([[0.0], [0.0], [1.0], [1.0], [1.0], [3.0], [0.0], [2.0]]),
+    ])
+    def test_prefix_equals_direct_query(self, values):
+        data = Dataset(values)
+        big = data.n - 1
+        full = exact_knn(data, big)
+        for k in range(1, big + 1):
+            direct = exact_knn(data, k)
+            part = full.prefix(k)
+            assert part.k == k
+            assert part.indices.tobytes() == direct.indices.tobytes()
+            assert part.distances.tobytes() == direct.distances.tobytes()
+
+    def test_prefix_is_contiguous_and_read_only(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        part = exact_knn(Dataset(rng.random((20, 2))), 9).prefix(4)
+        for arr in (part.indices, part.distances):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_prefix_out_of_range(self, k):
+        rng = np.random.Generator(np.random.PCG64(13))
+        nbrs = exact_knn(Dataset(rng.random((10, 2))), 5)
+        with pytest.raises(KnnError, match="prefix k must be in"):
+            nbrs.prefix(k)
+
+
+@st.composite
+def grid_datasets(draw):
+    """Integer-grid coordinates: duplicate rows and equal distances abound."""
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.lists(st.integers(-3, 3), min_size=m, max_size=m),
+                          min_size=n, max_size=n))
+    return Dataset(np.array(cells, dtype=float))
+
+
+class TestAgainstOracle:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(grid_datasets())
+    @example(Dataset(np.zeros((6, 2))))
+    def test_exact_knn_matches_brute_force(self, data):
+        for k in range(1, data.n):
+            expected = brute_force_knn(data, k)
+            for chunk in (None, 1, 4):
+                got = exact_knn(data, k, chunk=chunk)
+                assert got.indices.tobytes() == expected.indices.tobytes()
+                assert got.distances.tobytes() == expected.distances.tobytes()
+
+    def test_oracle_guards(self):
+        with pytest.raises(OracleError, match="k must be in"):
+            brute_force_knn(Dataset(np.zeros((3, 1))), 3)
+        with pytest.raises(OracleError, match="limited to"):
+            brute_force_knn(Dataset(np.zeros((MAX_VERTICES + 1, 1))), 1)
+
+
+class TestBlockBound:
+    def test_default_block_is_byte_bounded(self, monkeypatch):
+        seen = []
+        real = knn_module._squared_distance_block
+
+        def spy(values, rows):
+            d2 = real(values, rows)
+            seen.append(d2.nbytes)
+            return d2
+
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 64)
+        monkeypatch.setattr(knn_module, "_squared_distance_block", spy)
+        rng = np.random.Generator(np.random.PCG64(14))
+        data = Dataset(rng.random((30, 2)))
+        got = exact_knn(data, 5)
+        assert max(seen) <= 64 * 8 and len(seen) == 15  # 2 rows per block
+        want = exact_knn(data, 5, chunk=30)
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.distances.tobytes() == want.distances.tobytes()
+
+    def test_rejects_nonpositive_chunk(self):
+        with pytest.raises(KnnError, match="chunk must be positive"):
+            exact_knn(Dataset(np.zeros((3, 1))), 1, chunk=0)

@@ -171,10 +171,10 @@ class TestEstimate:
         real_build = opt.build_umap_graph
         poisoned = {4, 7}
 
-        def flaky(dataset, k):
+        def flaky(dataset, k, **kwargs):
             if k in poisoned:
                 raise GraphError(f"synthetic failure at k={k}")
-            return real_build(dataset, k)
+            return real_build(dataset, k, **kwargs)
 
         monkeypatch.setattr(opt, "build_umap_graph", flaky)
         data, labels = blobs
