@@ -38,7 +38,7 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .knn import KnnError
+from .knn import KnnError, usable_cores
 from .metrics import (
     MetricConfig,
     MetricsError,
@@ -109,9 +109,9 @@ def _add_common(parser: _Parser) -> None:
     parser.add_argument(
         "--threads",
         type=_positive_threads,
-        default=os.cpu_count() or 1,
-        help="cap on internal parallelism; results never depend on it "
-             "(default: available cores)",
+        default=usable_cores(),
+        help="cap on the kNN worker threads; never changes a byte of any "
+             "output (default: usable cores)",
     )
 
 
@@ -229,12 +229,13 @@ def _build_from_flags(args, dataset):
             raise UsageError("--method tsne requires --perplexity")
         if args.n_neighbors is not None:
             raise UsageError("--n-neighbors applies to --method umap only")
-        return build_tsne_graph(dataset, args.perplexity, args.prune_eps)
+        return build_tsne_graph(dataset, args.perplexity, args.prune_eps,
+                                threads=args.threads)
     if args.n_neighbors is None:
         raise UsageError("--method umap requires --n-neighbors")
     if args.perplexity is not None:
         raise UsageError("--perplexity applies to --method tsne only")
-    return build_umap_graph(dataset, args.n_neighbors)
+    return build_umap_graph(dataset, args.n_neighbors, threads=args.threads)
 
 
 def _cmd_score(args) -> int:
@@ -292,7 +293,7 @@ def _cmd_sweep(args) -> int:
     k_values = _parse_k_values(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
     result = sweep(dataset, labels, args.method, k_values, config,
-                   prune_eps=args.prune_eps)
+                   prune_eps=args.prune_eps, threads=args.threads)
     for row in result.rows:
         if row.error is not None:
             print(f"sweep: k={row.k}: {row.error}", file=sys.stderr)
@@ -321,7 +322,7 @@ def _cmd_estimate(args) -> int:
         metric=MetricConfig(alpha=args.alpha, beta=args.beta),
     )
     best_k, trace = estimate(dataset, labels, args.method, config,
-                             prune_eps=args.prune_eps)
+                             prune_eps=args.prune_eps, threads=args.threads)
     if args.trace:
         out = _out_path(args.trace)
         with open(out, "w", encoding="utf-8") as fh:

@@ -49,6 +49,7 @@ MAX_BISECTIONS = 200
 _SIGMA_LOG10_MIN = -20.0
 _SIGMA_LOG10_MAX = 20.0
 _LN2 = math.log(2.0)
+_EDGE_SLICE = 1 << 15  # edges encoded per json.dumps call in save_graph
 
 
 @dataclass(frozen=True)
@@ -209,11 +210,11 @@ def neighbor_count(method: str, n: int, k) -> int:
     raise GraphError(f"method must be 'tsne' or 'umap', got {method!r}")
 
 
-def _neighbor_lists(dataset: Dataset, count: int,
-                    neighbors: NeighborLists | None) -> NeighborLists:
+def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | None,
+                    threads: int | None) -> NeighborLists:
     """The count nearest per vertex: a fresh kNN pass, or a prefix of `neighbors`."""
     if neighbors is None:
-        return exact_knn(dataset, count)
+        return exact_knn(dataset, count, threads=threads)
     if neighbors.n != dataset.n or neighbors.k < count:
         raise GraphError(
             f"neighbors hold {neighbors.k} per vertex for {neighbors.n} "
@@ -258,7 +259,8 @@ def _check_perplexity(n, perplexity):
 
 def build_tsne_graph(dataset: Dataset, perplexity: float,
                      prune_eps: float | None = None, *,
-                     neighbors: NeighborLists | None = None) -> RelationshipGraph:
+                     neighbors: NeighborLists | None = None,
+                     threads: int | None = None) -> RelationshipGraph:
     """Symmetrized conditional-probability graph over candidate neighborhoods.
 
     Candidates are the min(ceil(3*perplexity), N-1) nearest neighbors.
@@ -268,7 +270,8 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
     dropped.  Non-converged vertices keep a clamped bandwidth and are
     counted in the provenance options.  Given `neighbors` (lists of at
     least that many per vertex), the candidates are their prefix and no
-    kNN pass runs; the graph is the same.
+    kNN pass runs; the graph is the same.  `threads` caps the kNN
+    pass's worker threads (see `exact_knn`).
     """
     n = dataset.n
     count = neighbor_count("tsne", n, perplexity)
@@ -277,7 +280,8 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
     prune_eps = float(prune_eps)
     if prune_eps < 0:
         raise GraphError(f"prune_eps must be nonnegative, got {prune_eps}")
-    nbrs, cal, p = _tsne_parts(_neighbor_lists(dataset, count, neighbors), perplexity)
+    nbrs, cal, p = _tsne_parts(_neighbor_lists(dataset, count, neighbors, threads),
+                               perplexity)
     ei, ej, w = _symmetrize_sum(n, nbrs.indices, p)
     w = w / (2.0 * n)
     keep = w > prune_eps
@@ -369,18 +373,21 @@ def _check_n_neighbors(n, n_neighbors):
 
 
 def build_umap_graph(dataset: Dataset, n_neighbors: int, *,
-                     neighbors: NeighborLists | None = None) -> RelationshipGraph:
+                     neighbors: NeighborLists | None = None,
+                     threads: int | None = None) -> RelationshipGraph:
     """Fuzzy-union membership graph over the n_neighbors nearest neighbors.
 
     rho_i is the distance to the nearest neighbor (zero for duplicates);
     directed memberships exp(-max(0, d - rho_i)/sigma_i) are combined with
     the probabilistic OR; zero-weight pairs are omitted.  Given
     `neighbors` (lists of at least n_neighbors per vertex), their prefix
-    is used and no kNN pass runs; the graph is the same.
+    is used and no kNN pass runs; the graph is the same.  `threads` caps
+    the kNN pass's worker threads (see `exact_knn`).
     """
     n = dataset.n
     count = neighbor_count("umap", n, n_neighbors)
-    nbrs, cal, memberships = _umap_parts(_neighbor_lists(dataset, count, neighbors))
+    nbrs, cal, memberships = _umap_parts(
+        _neighbor_lists(dataset, count, neighbors, threads))
     i, j, first, second = _pair_groups(n, nbrs.indices, memberships)
     w = fuzzy_union(first, second)
     keep = w > 0.0
@@ -393,21 +400,28 @@ def build_umap_graph(dataset: Dataset, n_neighbors: int, *,
 
 
 def save_graph(graph: RelationshipGraph, path) -> None:
-    """Write `{"n", "method", "param", "edges"}` JSON, edges sorted, full precision."""
-    doc = {
-        "n": graph.n_vertices,
-        "method": graph.provenance.method,
-        "param": graph.provenance.param,
-        "edges": [
-            [int(i), int(j), float(w)]
-            for i, j, w in zip(graph.edges_i, graph.edges_j, graph.weights)
-        ],
-    }
-    if graph.provenance.options:
-        doc["options"] = graph.provenance.options
+    """Write `{"n", "method", "param", "edges"}` JSON, edges sorted, full precision.
+
+    The bytes are those of `json.dumps` of that document (plus
+    "options" when there are any) and a newline; the edges are encoded
+    a slice at a time, so no list of every edge is ever built.
+    """
+    prov = graph.provenance
+    ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(f'{{"n": {json.dumps(graph.n_vertices)}, '
+                 f'"method": {json.dumps(prov.method)}, '
+                 f'"param": {json.dumps(prov.param)}, "edges": [')
+        for start in range(0, graph.n_edges, _EDGE_SLICE):
+            part = slice(start, start + _EDGE_SLICE)
+            rows = zip(ei[part].tolist(), ej[part].tolist(), w[part].tolist())
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(list(map(list, rows)))[1:-1])
+        fh.write("]")
+        if prov.options:
+            fh.write(f', "options": {json.dumps(prov.options)}')
+        fh.write("}\n")
 
 
 def load_graph(path) -> RelationshipGraph:

@@ -4,9 +4,15 @@ Brute force O(N^2 m) on purpose: neighborhood correctness is the whole
 point downstream, so no approximate index is used.
 
 Squared distances are computed one block of rows at a time.  A block
-holds at most 2**20 // N rows, so each N-wide temporary stays at or
-under 8 MiB whatever N is.  Each row is accumulated independently of
-its block, so the block size never changes a bit of the result.
+holds at most 2**16 // N rows, so each N-wide temporary stays at or
+under 512 KiB whatever N is, and a block's two temporaries fit in a
+core's L2 cache.  The feature columns are copied once into a
+contiguous (m, N) array, so each feature's subtraction reads
+contiguous memory.  Blocks run on a pool of worker threads (numpy
+releases the GIL); each block writes only its own rows of the result.
+Each row is accumulated independently of its block, in the same
+feature order, so neither the block size nor the number of workers
+changes a bit of the result.
 
 Selection avoids a full-row sort: `np.partition` finds the k-th
 smallest squared distance of each row, every column strictly below it
@@ -18,15 +24,17 @@ the top-k lists are exact prefixes of the top-K lists for every k <= K.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import Dataset
 
-__all__ = ["NeighborLists", "KnnError", "euclidean", "exact_knn"]
+__all__ = ["NeighborLists", "KnnError", "euclidean", "exact_knn", "usable_cores"]
 
-_BLOCK_DOUBLES = 1 << 20  # per N-wide block temporary: 8 MiB
+_BLOCK_DOUBLES = 1 << 16  # per N-wide block temporary: 512 KiB
 
 
 class KnnError(ValueError):
@@ -80,15 +88,24 @@ def euclidean(a, b) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
-def _squared_distance_block(values: np.ndarray, rows: slice) -> np.ndarray:
-    # Accumulate (a-b)^2 feature by feature: keeps peak memory at two
-    # chunk*N temporaries and makes d2[i,j] == d2[j,i] exactly, since
-    # both sides sum identical squares in the same feature order.
-    block = values[rows]
-    d2 = np.zeros((block.shape[0], values.shape[0]))
+def usable_cores() -> int:
+    """CPUs this process may run on; os.cpu_count() where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _squared_distance_block(columns: np.ndarray, rows: slice) -> np.ndarray:
+    # columns is the (m, N) transpose of the data.  Accumulate (a-b)^2
+    # feature by feature: keeps peak memory at two chunk*N temporaries
+    # and makes d2[i,j] == d2[j,i] exactly, since both sides sum
+    # identical squares in the same feature order.
+    block = columns[:, rows]
+    d2 = np.zeros((block.shape[1], columns.shape[1]))
     diff = np.empty_like(d2)
-    for f in range(values.shape[1]):
-        np.subtract(block[:, f, None], values[None, :, f], out=diff)
+    for f in range(columns.shape[0]):
+        np.subtract(block[f, :, None], columns[f, None, :], out=diff)
         np.multiply(diff, diff, out=diff)
         d2 += diff
     return d2
@@ -118,11 +135,14 @@ def _smallest_stable(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cols, order, axis=1)
 
 
-def exact_knn(dataset: Dataset, k: int, chunk: int | None = None) -> NeighborLists:
+def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
+              threads: int | None = None) -> NeighborLists:
     """The k nearest other vertices per vertex, ties broken by smaller id.
 
     `chunk` overrides the number of rows per distance block (default
-    2**20 // N, at least 1); it never changes the result.
+    2**16 // N, at least 1).  `threads` caps the worker threads (default
+    and upper limit: the usable cores; never more than there are
+    blocks).  Neither changes the result.
     """
     n = dataset.n
     k = int(k)
@@ -132,15 +152,31 @@ def exact_knn(dataset: Dataset, k: int, chunk: int | None = None) -> NeighborLis
         chunk = max(1, _BLOCK_DOUBLES // n)
     if chunk < 1:
         raise KnnError(f"chunk must be positive, got {chunk}")
-    values = dataset.values
+    cores = usable_cores()
+    if threads is None:
+        threads = cores
+    if threads < 1:
+        raise KnnError(f"threads must be positive, got {threads}")
+    columns = np.ascontiguousarray(dataset.values.T)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
-    for start in range(0, n, chunk):
+
+    def block(start: int) -> None:
         stop = min(start + chunk, n)
-        d2 = _squared_distance_block(values, slice(start, stop))
+        d2 = _squared_distance_block(columns, slice(start, stop))
         rows = np.arange(start, stop)
         d2[rows - start, rows] = np.inf  # exclude self (duplicates keep 0)
         order = _smallest_stable(d2, k)
         indices[start:stop] = order
         distances[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+
+    starts = range(0, n, chunk)
+    workers = min(threads, cores, len(starts))
+    if workers == 1:
+        for start in starts:
+            block(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(block, starts):  # re-raises a block's error
+                pass
     return NeighborLists(indices=indices, distances=distances, k=k)

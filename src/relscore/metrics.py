@@ -485,7 +485,8 @@ def _build_graph(method: str, dataset: Dataset, k, prune_eps,
     raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
 
 
-def _shared_neighbors(method: str, dataset: Dataset, ks) -> NeighborLists | None:
+def _shared_neighbors(method: str, dataset: Dataset, ks,
+                      threads: int | None) -> NeighborLists | None:
     """One kNN pass deep enough for every valid k; None when no k is valid."""
     counts = []
     for k in ks:
@@ -493,22 +494,24 @@ def _shared_neighbors(method: str, dataset: Dataset, ks) -> NeighborLists | None
             counts.append(neighbor_count(method, dataset.n, k))
         except GraphError:
             continue
-    return exact_knn(dataset, max(counts)) if counts else None
+    return exact_knn(dataset, max(counts), threads=threads) if counts else None
 
 
 def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
           config: MetricConfig = MetricConfig(),
-          prune_eps: float | None = None) -> SweepResult:
+          prune_eps: float | None = None, *,
+          threads: int | None = None) -> SweepResult:
     """Global metrics per neighborhood size, one row per distinct k.
 
     A failing build annotates its row instead of aborting the sweep.
     Neighbors are computed once, for the largest count a valid k needs,
-    and every build reads its exact prefix.
+    and every build reads its exact prefix; `threads` caps that pass's
+    worker threads (see `exact_knn`).
     """
     if method not in ("tsne", "umap"):
         raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
     ks = sorted(dict.fromkeys(k_values))
-    neighbors = _shared_neighbors(method, dataset, ks)
+    neighbors = _shared_neighbors(method, dataset, ks, threads)
     rows = []
     for k in ks:
         try:

@@ -216,7 +216,8 @@ def _normalize_log(k_values: np.ndarray, k_min: int, k_max: int) -> np.ndarray:
 
 def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
              config: OptimizerConfig,
-             prune_eps: float | None = None) -> tuple[int, OptimizationTrace]:
+             prune_eps: float | None = None, *,
+             threads: int | None = None) -> tuple[int, OptimizationTrace]:
     """Maximize the (global or per-label) f-score over integer k.
 
     Initial design: both bounds plus seeded uniform draws without
@@ -224,7 +225,8 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     successful trials and evaluates the unevaluated integer with the
     highest expected improvement (ties to smaller k).  Hard build errors
     are recorded as failed trials and kept out of the surrogate.  One kNN
-    pass, at k_max, serves every trial as exact prefixes.
+    pass, at k_max, serves every trial as exact prefixes; `threads` caps
+    its worker threads (see `exact_knn`).
     """
     if method not in ("tsne", "umap"):
         raise OptimizerError(f"method must be 'tsne' or 'umap', got {method!r}")
@@ -242,7 +244,8 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
             raise OptimizerError(f"unknown target label {label_target!r}")
 
     # the neighbor count grows with k, so k_max's lists cover every trial
-    neighbors = exact_knn(dataset, neighbor_count(method, n, config.k_max))
+    neighbors = exact_knn(dataset, neighbor_count(method, n, config.k_max),
+                          threads=threads)
 
     def objective(k: int) -> tuple[float, dict[str, float]]:
         if method == "tsne":

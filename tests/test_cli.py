@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from relscore.cli import main
+from relscore.cli import build_parser, main
+from relscore.knn import usable_cores
 
 
 def run(*argv):
@@ -238,3 +239,28 @@ class TestThreads:
     def test_threads_must_be_positive(self, tmp_path):
         assert run("synth", "--preset", "three-blobs", "--threads", "0",
                    "--out", str(tmp_path / "x.csv")) == 1
+
+    def test_default_is_usable_cores(self):
+        args = build_parser().parse_args(["synth", "--preset", "three-blobs",
+                                          "--out", "x.csv"])
+        assert args.threads == usable_cores()
+
+    def test_thread_count_never_changes_a_byte(self, tmp_path):
+        # N=400 gives three kNN row blocks, so two threads really run a pool
+        data = tmp_path / "blobs.csv"
+        assert run("synth", "--centers", "0,0;4,0;0,4;4,4", "--count", "100",
+                   "--seed", "11", "--out", str(data)) == 0
+        commands = {
+            "tsne.json": ("graph", "--method", "tsne", "--perplexity", "30"),
+            "umap.json": ("graph", "--method", "umap", "--n-neighbors", "15"),
+            "sweep.csv": ("sweep", "--method", "umap", "--k-list", "5,10,20"),
+        }
+        for name, argv in commands.items():
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / threads / name
+                out.parent.mkdir(exist_ok=True)
+                assert run(*argv, "--data", str(data), "--threads", threads,
+                           "--out", str(out)) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], name

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relscore import graphs as graphs_module
 from relscore.datasets import Dataset, preset
 from relscore.graphs import (
     GraphError,
@@ -20,7 +23,7 @@ from relscore.graphs import (
 )
 from relscore.metrics import MetricConfig, report
 
-from conftest import make_labels
+from conftest import make_graph, make_labels
 
 
 @pytest.fixture(scope="module")
@@ -300,3 +303,76 @@ class TestPersistence:
         labels = make_labels([0, 0, 0, 1, 1], ("x", "y"))
         rep = report(graph, labels, MetricConfig())
         assert 0.0 <= rep.global_fscore <= 1.0
+
+
+def reference_bytes(graph):
+    """The file as one json.dumps of the whole document."""
+    doc = {
+        "n": graph.n_vertices,
+        "method": graph.provenance.method,
+        "param": graph.provenance.param,
+        "edges": [[int(i), int(j), float(w)] for i, j, w in
+                  zip(graph.edges_i, graph.edges_j, graph.weights)],
+    }
+    if graph.provenance.options:
+        doc["options"] = graph.provenance.options
+    return (json.dumps(doc) + "\n").encode("utf-8")
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    method = draw(st.sampled_from(("tsne", "umap", "external")))
+    param = draw(st.one_of(st.none(), st.integers(2, 500),
+                           st.floats(allow_nan=False, allow_infinity=False)))
+    options = draw(st.dictionaries(
+        st.text(max_size=4),
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=4)),
+        max_size=3,
+    ))
+    return RelationshipGraph(n, [i for i, _ in chosen], [j for _, j in chosen],
+                             [draw(weights) for _ in chosen],
+                             GraphProvenance(method, param, options))
+
+
+class TestGraphWriter:
+    def test_edgeless_graph(self, tmp_path):
+        graph = make_graph(3, [], method="tsne", param=2.5)
+        save_graph(graph, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == reference_bytes(graph)
+
+    def test_external_graph_without_param_or_options(self, tmp_path):
+        graph = make_graph(4, [(0, 3, 0.1), (1, 2, 1e-300), (0, 1, 7.0)])
+        assert graph.provenance.param is None and not graph.provenance.options
+        save_graph(graph, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == reference_bytes(graph)
+
+    @pytest.mark.parametrize("slice_edges", [1, 7, 1000])
+    def test_edges_across_write_slices(self, small_random, tmp_path,
+                                       monkeypatch, slice_edges):
+        monkeypatch.setattr(graphs_module, "_EDGE_SLICE", slice_edges)
+        for graph in (build_tsne_graph(small_random, 5.0),
+                      build_umap_graph(small_random, 6)):
+            assert graph.n_edges > 7
+            save_graph(graph, tmp_path / "g.json")
+            assert (tmp_path / "g.json").read_bytes() == reference_bytes(graph)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(graphs(), st.integers(1, 5))
+    def test_save_load_save_round_trip(self, tmp_path_factory, graph, slice_edges):
+        path = tmp_path_factory.mktemp("roundtrip") / "g.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs_module, "_EDGE_SLICE", slice_edges)
+            save_graph(graph, path)
+            first = path.read_bytes()
+            back = load_graph(path)
+            save_graph(back, path)
+        assert path.read_bytes() == first == reference_bytes(graph)
+        assert back.n_vertices == graph.n_vertices
+        assert back.edges_i.tobytes() == graph.edges_i.tobytes()
+        assert back.edges_j.tobytes() == graph.edges_j.tobytes()
+        assert back.weights.tobytes() == graph.weights.tobytes()
+        assert back.provenance == graph.provenance

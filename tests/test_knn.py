@@ -176,9 +176,10 @@ class TestAgainstOracle:
         for k in range(1, data.n):
             expected = brute_force_knn(data, k)
             for chunk in (None, 1, 4):
-                got = exact_knn(data, k, chunk=chunk)
-                assert got.indices.tobytes() == expected.indices.tobytes()
-                assert got.distances.tobytes() == expected.distances.tobytes()
+                for threads in (1, 2):
+                    got = exact_knn(data, k, chunk=chunk, threads=threads)
+                    assert got.indices.tobytes() == expected.indices.tobytes()
+                    assert got.distances.tobytes() == expected.distances.tobytes()
 
     def test_oracle_guards(self):
         with pytest.raises(OracleError, match="k must be in"):
@@ -192,8 +193,8 @@ class TestBlockBound:
         seen = []
         real = knn_module._squared_distance_block
 
-        def spy(values, rows):
-            d2 = real(values, rows)
+        def spy(*args):
+            d2 = real(*args)
             seen.append(d2.nbytes)
             return d2
 
@@ -210,3 +211,42 @@ class TestBlockBound:
     def test_rejects_nonpositive_chunk(self):
         with pytest.raises(KnnError, match="chunk must be positive"):
             exact_knn(Dataset(np.zeros((3, 1))), 1, chunk=0)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("chunk", [1, 4, None])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_any_thread_count_is_bitwise_serial(self, threads, chunk):
+        # integer grid: duplicate rows and tied distances across blocks
+        rng = np.random.Generator(np.random.PCG64(15))
+        data = Dataset(rng.integers(-3, 4, size=(45, 2)).astype(float))
+        want = exact_knn(data, 12, threads=1)
+        got = exact_knn(data, 12, chunk=chunk, threads=threads)
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.distances.tobytes() == want.distances.tobytes()
+
+    def test_workers_capped_by_cores_and_blocks(self, monkeypatch):
+        started = []
+        real = knn_module.ThreadPoolExecutor
+
+        def spy(max_workers):
+            started.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(knn_module, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(knn_module, "usable_cores", lambda: 3)
+        rng = np.random.Generator(np.random.PCG64(16))
+        data = Dataset(rng.random((30, 2)))
+        want = exact_knn(data, 5, threads=1)
+        got = exact_knn(data, 5, chunk=1, threads=10**9)  # 30 blocks
+        assert started == [3]
+        assert got.indices.tobytes() == want.indices.tobytes()
+        exact_knn(data, 5, chunk=15, threads=3)  # 2 blocks
+        assert started == [3, 2]
+        exact_knn(data, 5, threads=None)  # 1 block: no pool at all
+        assert started == [3, 2]
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_rejects_nonpositive_threads(self, threads):
+        with pytest.raises(KnnError, match="threads must be positive"):
+            exact_knn(Dataset(np.zeros((3, 1))), 1, threads=threads)

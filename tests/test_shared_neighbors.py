@@ -173,7 +173,7 @@ class TestEstimateSharesOnePass:
         k_shared, shared = estimate(data, labels, method, config)
         assert calls == {"relscore.optimizer": 1, "relscore.graphs": 0}
         # per-k builds: no shared lists, each build runs its own pass
-        monkeypatch.setattr(optimizer, "exact_knn", lambda *args: None)
+        monkeypatch.setattr(optimizer, "exact_knn", lambda *args, **kwargs: None)
         k_per, per_k = estimate(data, labels, method, config)
         assert calls["relscore.graphs"] == 8
         assert k_shared == k_per
