@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .datasets import Dataset
-from .knn import NeighborLists, exact_knn
+from .knn import NeighborLists, check_threads, exact_knn
 
 __all__ = [
     "GraphError",
@@ -213,6 +213,7 @@ def neighbor_count(method: str, n: int, k) -> int:
 def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | None,
                     threads: int | None) -> NeighborLists:
     """The count nearest per vertex: a fresh kNN pass, or a prefix of `neighbors`."""
+    check_threads(threads)  # validated even when no pass runs
     if neighbors is None:
         return exact_knn(dataset, count, threads=threads)
     if neighbors.n != dataset.n or neighbors.k < count:

@@ -32,7 +32,10 @@ import numpy as np
 
 from .datasets import Dataset
 
-__all__ = ["NeighborLists", "KnnError", "euclidean", "exact_knn", "usable_cores"]
+__all__ = [
+    "NeighborLists", "KnnError", "check_threads", "euclidean", "exact_knn",
+    "usable_cores",
+]
 
 _BLOCK_DOUBLES = 1 << 16  # per N-wide block temporary: 512 KiB
 
@@ -96,6 +99,15 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def check_threads(threads: int | None) -> int:
+    """The worker-thread cap `threads` stands for: None means the usable cores."""
+    if threads is None:
+        return usable_cores()
+    if threads < 1:
+        raise KnnError(f"threads must be positive, got {threads}")
+    return threads
+
+
 def _squared_distance_block(columns: np.ndarray, rows: slice) -> np.ndarray:
     # columns is the (m, N) transpose of the data.  Accumulate (a-b)^2
     # feature by feature: keeps peak memory at two chunk*N temporaries
@@ -152,11 +164,7 @@ def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
         chunk = max(1, _BLOCK_DOUBLES // n)
     if chunk < 1:
         raise KnnError(f"chunk must be positive, got {chunk}")
-    cores = usable_cores()
-    if threads is None:
-        threads = cores
-    if threads < 1:
-        raise KnnError(f"threads must be positive, got {threads}")
+    threads = check_threads(threads)
     columns = np.ascontiguousarray(dataset.values.T)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
@@ -171,12 +179,8 @@ def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
         distances[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
 
     starts = range(0, n, chunk)
-    workers = min(threads, cores, len(starts))
-    if workers == 1:
-        for start in starts:
-            block(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(block, starts):  # re-raises a block's error
-                pass
+    workers = min(threads, usable_cores(), len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(block, starts):  # re-raises a block's error
+            pass
     return NeighborLists(indices=indices, distances=distances, k=k)

@@ -25,7 +25,7 @@ from .graphs import (
     build_umap_graph,
     neighbor_count,
 )
-from .knn import NeighborLists, exact_knn
+from .knn import NeighborLists, check_threads, exact_knn
 
 __all__ = [
     "MetricsError",
@@ -488,6 +488,7 @@ def _build_graph(method: str, dataset: Dataset, k, prune_eps,
 def _shared_neighbors(method: str, dataset: Dataset, ks,
                       threads: int | None) -> NeighborLists | None:
     """One kNN pass deep enough for every valid k; None when no k is valid."""
+    check_threads(threads)  # validated even when no pass runs
     counts = []
     for k in ks:
         try:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from relscore import knn
 from relscore.cli import build_parser, main
 from relscore.knn import usable_cores
 
@@ -245,8 +246,10 @@ class TestThreads:
                                           "--out", "x.csv"])
         assert args.threads == usable_cores()
 
-    def test_thread_count_never_changes_a_byte(self, tmp_path):
-        # N=400 gives three kNN row blocks, so two threads really run a pool
+    def test_thread_count_never_changes_a_byte(self, tmp_path, monkeypatch):
+        # N=400 gives three kNN row blocks and three usable cores are
+        # reported, so two threads run two workers on any machine
+        monkeypatch.setattr(knn, "usable_cores", lambda: 3)
         data = tmp_path / "blobs.csv"
         assert run("synth", "--centers", "0,0;4,0;0,4;4,4", "--count", "100",
                    "--seed", "11", "--out", str(data)) == 0

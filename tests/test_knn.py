@@ -173,13 +173,16 @@ class TestAgainstOracle:
     @given(grid_datasets())
     @example(Dataset(np.zeros((6, 2))))
     def test_exact_knn_matches_brute_force(self, data):
-        for k in range(1, data.n):
-            expected = brute_force_knn(data, k)
-            for chunk in (None, 1, 4):
-                for threads in (1, 2):
-                    got = exact_knn(data, k, chunk=chunk, threads=threads)
-                    assert got.indices.tobytes() == expected.indices.tobytes()
-                    assert got.distances.tobytes() == expected.distances.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            # three usable cores: threads=2 runs two workers on any machine
+            mp.setattr(knn_module, "usable_cores", lambda: 3)
+            for k in range(1, data.n):
+                expected = brute_force_knn(data, k)
+                for chunk in (None, 1, 4):
+                    for threads in (1, 2):
+                        got = exact_knn(data, k, chunk=chunk, threads=threads)
+                        assert got.indices.tobytes() == expected.indices.tobytes()
+                        assert got.distances.tobytes() == expected.distances.tobytes()
 
     def test_oracle_guards(self):
         with pytest.raises(OracleError, match="k must be in"):
@@ -216,8 +219,10 @@ class TestBlockBound:
 class TestThreads:
     @pytest.mark.parametrize("chunk", [1, 4, None])
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_any_thread_count_is_bitwise_serial(self, threads, chunk):
-        # integer grid: duplicate rows and tied distances across blocks
+    def test_any_thread_count_is_bitwise_serial(self, threads, chunk, monkeypatch):
+        # integer grid: duplicate rows and tied distances across blocks;
+        # three usable cores, so `threads` workers run whatever the machine
+        monkeypatch.setattr(knn_module, "usable_cores", lambda: 3)
         rng = np.random.Generator(np.random.PCG64(15))
         data = Dataset(rng.integers(-3, 4, size=(45, 2)).astype(float))
         want = exact_knn(data, 12, threads=1)
@@ -237,14 +242,15 @@ class TestThreads:
         monkeypatch.setattr(knn_module, "usable_cores", lambda: 3)
         rng = np.random.Generator(np.random.PCG64(16))
         data = Dataset(rng.random((30, 2)))
-        want = exact_knn(data, 5, threads=1)
-        got = exact_knn(data, 5, chunk=1, threads=10**9)  # 30 blocks
-        assert started == [3]
+        want = exact_knn(data, 5, chunk=1, threads=1)  # 30 blocks
+        assert started == [1]
+        got = exact_knn(data, 5, chunk=1, threads=10**9)
+        assert started == [1, 3]
         assert got.indices.tobytes() == want.indices.tobytes()
         exact_knn(data, 5, chunk=15, threads=3)  # 2 blocks
-        assert started == [3, 2]
-        exact_knn(data, 5, threads=None)  # 1 block: no pool at all
-        assert started == [3, 2]
+        assert started == [1, 3, 2]
+        exact_knn(data, 5, threads=None)  # 1 block
+        assert started == [1, 3, 2, 1]
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_rejects_nonpositive_threads(self, threads):

@@ -18,7 +18,7 @@ from relscore.graphs import (
     build_umap_graph,
     neighbor_count,
 )
-from relscore.knn import exact_knn
+from relscore.knn import KnnError, exact_knn
 from relscore.metrics import sweep
 from relscore.optimizer import OptimizerConfig, estimate
 
@@ -120,6 +120,15 @@ class TestBuildersOnSharedLists:
         with pytest.raises(GraphError, match="n_neighbors must be an integer"):
             build_umap_graph(data, 2.5, neighbors=short)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_checked_when_no_pass_runs(self, blobs, threads):
+        data = blobs[0]
+        shared = exact_knn(data, 60)
+        with pytest.raises(KnnError, match="threads must be positive"):
+            build_tsne_graph(data, 20, neighbors=shared, threads=threads)
+        with pytest.raises(KnnError, match="threads must be positive"):
+            build_umap_graph(data, 15, neighbors=shared, threads=threads)
+
 
 class TestSweepSharesOnePass:
     CASES = [
@@ -162,6 +171,8 @@ class TestSweepSharesOnePass:
         result = sweep(data, labels, method, ks)
         assert all(row.error is not None for row in result.rows)
         assert calls == {"relscore.metrics": 0, "relscore.graphs": 0}
+        with pytest.raises(KnnError, match="threads must be positive"):
+            sweep(data, labels, method, ks, threads=0)
 
 
 class TestEstimateSharesOnePass:
