@@ -33,8 +33,8 @@ from .datasets import (
 )
 from .graphs import (
     GraphError,
-    build_tsne_graph,
-    build_umap_graph,
+    build_graph,
+    build_tsne_graph,  # not called: the benchmark's tracer test reads it
     load_graph,
     save_graph,
 )
@@ -78,6 +78,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, doc) -> None:
+    """Indented, key-sorted JSON plus a newline: the format of every JSON output."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(data_path: Path, command: str, args: argparse.Namespace,
                     inputs: list[Path], started: float) -> None:
     flags = {
@@ -92,10 +99,7 @@ def _write_manifest(data_path: Path, command: str, args: argparse.Namespace,
         "tool_version": __version__,
         "duration_s": time.monotonic() - started,
     }
-    sidecar = Path(str(data_path) + ".manifest.json")
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(Path(str(data_path) + ".manifest.json"), manifest)
 
 
 def _positive_threads(raw: str) -> int:
@@ -141,6 +145,18 @@ def _load_inputs(args) -> tuple:
         labels = load_labels(args.labels, dataset.n)
         used.append(Path(args.labels))
     return dataset, labels, used
+
+
+def _load_graph_inputs(args) -> tuple:
+    """Graph, labels and input paths (graph first); vertex and row counts must agree."""
+    dataset, labels, used = _load_inputs(args)
+    graph = load_graph(args.graph)
+    if graph.n_vertices != dataset.n:
+        raise MetricsError(
+            f"graph has {graph.n_vertices} vertices but dataset has "
+            f"{dataset.n} rows"
+        )
+    return graph, labels, [Path(args.graph)] + used
 
 
 def _parse_centers(raw: str) -> list[tuple[float, ...]]:
@@ -229,34 +245,25 @@ def _build_from_flags(args, dataset):
             raise UsageError("--method tsne requires --perplexity")
         if args.n_neighbors is not None:
             raise UsageError("--n-neighbors applies to --method umap only")
-        return build_tsne_graph(dataset, args.perplexity, args.prune_eps,
-                                threads=args.threads)
-    if args.n_neighbors is None:
-        raise UsageError("--method umap requires --n-neighbors")
-    if args.perplexity is not None:
-        raise UsageError("--perplexity applies to --method tsne only")
-    return build_umap_graph(dataset, args.n_neighbors, threads=args.threads)
+    else:
+        if args.n_neighbors is None:
+            raise UsageError("--method umap requires --n-neighbors")
+        if args.perplexity is not None:
+            raise UsageError("--perplexity applies to --method tsne only")
+    k = args.perplexity if args.method == "tsne" else args.n_neighbors
+    return build_graph(args.method, dataset, k, args.prune_eps, threads=args.threads)
 
 
 def _cmd_score(args) -> int:
     started = time.monotonic()
-    dataset, labels, inputs = _load_inputs(args)
-    graph = load_graph(args.graph)
-    inputs.insert(0, Path(args.graph))
-    if graph.n_vertices != dataset.n:
-        raise MetricsError(
-            f"graph has {graph.n_vertices} vertices but dataset has "
-            f"{dataset.n} rows"
-        )
+    graph, labels, inputs = _load_graph_inputs(args)
     config = MetricConfig(
         alpha=args.alpha, beta=args.beta,
         quadrant_threshold=args.quadrant_threshold,
     )
     rep = report(graph, labels, config)
     out = _out_path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(rep.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, rep.to_dict())
     _write_manifest(out, "score", args, inputs, started)
     if args.per_vertex:
         pv = _out_path(args.per_vertex)
@@ -299,9 +306,7 @@ def _cmd_sweep(args) -> int:
             print(f"sweep: k={row.k}: {row.error}", file=sys.stderr)
     out = _out_path(args.out)
     if out.suffix.lower() == ".json":
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, result.to_dict())
     else:
         write_sweep_csv(result, out)
     _write_manifest(out, "sweep", args, inputs, started)
@@ -325,9 +330,7 @@ def _cmd_estimate(args) -> int:
                              prune_eps=args.prune_eps, threads=args.threads)
     if args.trace:
         out = _out_path(args.trace)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(trace.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, trace.to_dict())
         _write_manifest(out, "estimate", args, inputs, started)
     print(json.dumps(
         {"k": best_k, "fscore": trace.best_fscore, "trials": len(trace.trials)},
@@ -337,13 +340,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    dataset, labels, _ = _load_inputs(args)
-    graph = load_graph(args.graph)
-    if graph.n_vertices != dataset.n:
-        raise MetricsError(
-            f"graph has {graph.n_vertices} vertices but dataset has "
-            f"{dataset.n} rows"
-        )
+    graph, labels, _ = _load_graph_inputs(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
     fast = report(graph, labels, config)
     slow = brute_force_report(graph, labels, args.alpha, args.beta)
@@ -369,14 +366,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     started = time.monotonic()
-    dataset, labels, inputs = _load_inputs(args)
-    graph = load_graph(args.graph)
-    inputs.insert(0, Path(args.graph))
-    if graph.n_vertices != dataset.n:
-        raise MetricsError(
-            f"graph has {graph.n_vertices} vertices but dataset has "
-            f"{dataset.n} rows"
-        )
+    graph, labels, inputs = _load_graph_inputs(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
     rep = report(graph, labels, config)
     out = _out_path(args.out)

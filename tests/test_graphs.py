@@ -209,6 +209,24 @@ class TestGraphType:
         with pytest.raises(GraphError, match="outside"):
             RelationshipGraph(4, [0], [7], [0.5], GraphProvenance("external"))
 
+    @pytest.mark.parametrize("edges_i, edges_j, shown", [
+        ([0.7], [1.9], "0.7"),
+        ([0], [1.5], "1.5"),
+        ([float("nan")], [1], "nan"),
+        ([0], [float("inf")], "inf"),
+    ], ids=["both-fractional", "one-fractional", "nan", "inf"])
+    def test_rejects_fractional_or_nonfinite_endpoints(self, edges_i, edges_j, shown):
+        with pytest.raises(GraphError, match=f"edge endpoint {shown} is not an integer"):
+            RelationshipGraph(4, edges_i, edges_j, [0.5], GraphProvenance("external"))
+
+    def test_integral_float_endpoints_kept(self):
+        graph = RelationshipGraph(4, [0.0, 1.0], [3.0, 2.0], [0.5, 0.25],
+                                  GraphProvenance("external"))
+        assert graph.edges_i.dtype == np.int64
+        assert (graph.edges_i.tolist(), graph.edges_j.tolist()) == ([0, 1], [3, 2])
+        with pytest.raises(GraphError, match="outside"):
+            RelationshipGraph(4, [0.0], [1e30], [0.5], GraphProvenance("external"))
+
     def test_sorts_edges(self):
         graph = RelationshipGraph(4, [2, 0], [3, 1], [0.1, 0.2],
                                   GraphProvenance("external"))

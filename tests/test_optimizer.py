@@ -165,10 +165,10 @@ class TestEstimate:
             assert set(t.per_label) == {"0", "1", "2"}
 
     def test_failed_evaluations_recorded_and_excluded(self, blobs, monkeypatch):
-        import relscore.optimizer as opt
+        from relscore import graphs
         from relscore.graphs import GraphError
 
-        real_build = opt.build_umap_graph
+        real_build = graphs.build_umap_graph
         poisoned = {4, 7}
 
         def flaky(dataset, k, **kwargs):
@@ -176,7 +176,7 @@ class TestEstimate:
                 raise GraphError(f"synthetic failure at k={k}")
             return real_build(dataset, k, **kwargs)
 
-        monkeypatch.setattr(opt, "build_umap_graph", flaky)
+        monkeypatch.setattr(graphs, "build_umap_graph", flaky)
         data, labels = blobs
         config = OptimizerConfig(k_min=2, k_max=10, n_init=2, budget=9, seed=0)
         k_star, trace = estimate(data, labels, "umap", config)

@@ -2,7 +2,8 @@
 
 Builders given `neighbors=` must return what a fresh per-build kNN pass
 returns, bit for bit; `sweep` and `estimate` must run at most one pass
-and produce the rows and traces of independent per-k builds.
+and produce the rows and traces of independent per-k builds.  The pass
+runs in `graphs.shared_neighbors`, so `graphs.exact_knn` counts it.
 """
 
 import json
@@ -14,13 +15,14 @@ from relscore import graphs, metrics, optimizer
 from relscore.datasets import Dataset, preset
 from relscore.graphs import (
     GraphError,
+    build_graph,
     build_tsne_graph,
     build_umap_graph,
     neighbor_count,
 )
 from relscore.knn import KnnError, exact_knn
-from relscore.metrics import sweep
-from relscore.optimizer import OptimizerConfig, estimate
+from relscore.metrics import MetricsError, sweep
+from relscore.optimizer import OptimizerConfig, OptimizerError, estimate
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,31 @@ class TestNeighborCount:
     def test_validates_with_builder_messages(self, method, k, message):
         with pytest.raises(GraphError, match=message):
             neighbor_count(method, 150, k)
+
+
+class TestBuildGraph:
+    @pytest.mark.parametrize("k", [30, 30.0])
+    def test_tsne_is_the_direct_builder(self, blobs, k):
+        data = blobs[0]
+        assert_same_graph(build_graph("tsne", data, k), build_tsne_graph(data, k))
+        assert_same_graph(build_graph("tsne", data, k, 1e-4),
+                          build_tsne_graph(data, k, 1e-4))
+
+    @pytest.mark.parametrize("k", [15, 15.0])
+    def test_umap_is_the_direct_builder(self, blobs, k):
+        data = blobs[0]
+        assert_same_graph(build_graph("umap", data, k), build_umap_graph(data, k))
+
+    def test_unknown_method_and_umap_prune_eps_rejected(self, blobs):
+        data = blobs[0]
+        with pytest.raises(GraphError, match="method must be 'tsne' or 'umap'"):
+            build_graph("pca", data, 15)
+        with pytest.raises(GraphError, match="prune_eps applies to method 'tsne' only"):
+            build_graph("umap", data, 15, 0.5)
+
+    def test_umap_non_integer_k_message(self, blobs):
+        with pytest.raises(GraphError, match="n_neighbors must be an integer, got 7.5"):
+            build_graph("umap", blobs[0], 7.5)
 
 
 class TestBuildersOnSharedLists:
@@ -140,13 +167,13 @@ class TestSweepSharesOnePass:
     @pytest.mark.parametrize("method, ks", CASES)
     def test_rows_equal_per_k_builds(self, blobs, monkeypatch, method, ks):
         data, labels = blobs
-        calls = count_calls(monkeypatch, metrics, graphs)
+        calls = count_calls(monkeypatch, graphs)
         shared = sweep(data, labels, method, ks)
-        assert calls == {"relscore.metrics": 1, "relscore.graphs": 0}
+        assert calls == {"relscore.graphs": 1}
         # per-k builds: no shared lists, each build runs its own pass
-        monkeypatch.setattr(metrics, "_shared_neighbors", lambda *args: None)
+        monkeypatch.setattr(metrics, "shared_neighbors", lambda *args, **kwargs: None)
         per_k = sweep(data, labels, method, ks)
-        assert calls["relscore.graphs"] == len(
+        assert calls["relscore.graphs"] == 1 + len(
             [row for row in per_k.rows if row.error is None])
         assert dumps(shared.to_dict()) == dumps(per_k.to_dict())
 
@@ -167,12 +194,19 @@ class TestSweepSharesOnePass:
     ])
     def test_all_invalid_runs_no_pass(self, blobs, monkeypatch, method, ks):
         data, labels = blobs
-        calls = count_calls(monkeypatch, metrics, graphs)
+        calls = count_calls(monkeypatch, graphs)
         result = sweep(data, labels, method, ks)
         assert all(row.error is not None for row in result.rows)
-        assert calls == {"relscore.metrics": 0, "relscore.graphs": 0}
+        assert calls == {"relscore.graphs": 0}
         with pytest.raises(KnnError, match="threads must be positive"):
             sweep(data, labels, method, ks, threads=0)
+
+    def test_umap_prune_eps_rejected_before_the_pass(self, blobs, monkeypatch):
+        data, labels = blobs
+        calls = count_calls(monkeypatch, graphs)
+        with pytest.raises(MetricsError, match="prune_eps applies to method 'tsne' only"):
+            sweep(data, labels, "umap", [10], prune_eps=0.5)
+        assert calls == {"relscore.graphs": 0}
 
 
 class TestEstimateSharesOnePass:
@@ -180,12 +214,21 @@ class TestEstimateSharesOnePass:
     def test_trace_equals_per_k_builds(self, blobs, monkeypatch, method, k_max):
         data, labels = blobs
         config = OptimizerConfig(k_min=2, k_max=k_max, n_init=3, budget=8, seed=4)
-        calls = count_calls(monkeypatch, optimizer, graphs)
+        calls = count_calls(monkeypatch, graphs)
         k_shared, shared = estimate(data, labels, method, config)
-        assert calls == {"relscore.optimizer": 1, "relscore.graphs": 0}
+        assert calls == {"relscore.graphs": 1}
         # per-k builds: no shared lists, each build runs its own pass
-        monkeypatch.setattr(optimizer, "exact_knn", lambda *args, **kwargs: None)
+        monkeypatch.setattr(optimizer, "shared_neighbors", lambda *args, **kwargs: None)
         k_per, per_k = estimate(data, labels, method, config)
-        assert calls["relscore.graphs"] == 8
+        assert calls["relscore.graphs"] == 1 + 8
         assert k_shared == k_per
         assert dumps(shared.to_dict()) == dumps(per_k.to_dict())
+
+    def test_umap_prune_eps_rejected_before_the_pass(self, blobs, monkeypatch):
+        data, labels = blobs
+        config = OptimizerConfig(k_min=2, k_max=20, n_init=2, budget=3)
+        calls = count_calls(monkeypatch, graphs)
+        with pytest.raises(OptimizerError,
+                           match="prune_eps applies to method 'tsne' only"):
+            estimate(data, labels, "umap", config, prune_eps=0.5)
+        assert calls == {"relscore.graphs": 0}
