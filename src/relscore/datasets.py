@@ -15,6 +15,7 @@ __all__ = [
     "LabelAssignment",
     "BlobSpec",
     "DatasetError",
+    "integer_values",
     "load_dataset",
     "save_dataset",
     "load_labels",
@@ -29,6 +30,21 @@ __all__ = [
 
 class DatasetError(ValueError):
     """Malformed dataset input or invalid construction parameters."""
+
+
+def integer_values(values) -> tuple[np.ndarray, np.ndarray]:
+    """`values` as an array, with the mask of its entries that are not integers.
+
+    Integer arrays come back as they are, and so do Python ints too large
+    for int64 (as exact objects); anything else is read as float, and its
+    fractional or non-finite entries are flagged, never cast.
+    """
+    raw = np.asarray(values)
+    if raw.dtype.kind in "biu" or (
+            raw.dtype.kind == "O" and all(isinstance(v, int) for v in raw.flat)):
+        return raw, np.zeros(raw.shape, dtype=bool)
+    real = raw.astype(float)
+    return real, ~np.isfinite(real) | (real != np.trunc(real))
 
 
 @dataclass(frozen=True)
@@ -101,9 +117,11 @@ class LabelAssignment:
     vocabulary: tuple[str, ...]
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64)
+        labels, not_int = integer_values(self.labels)
         if labels.ndim != 1 or labels.size == 0:
             raise DatasetError("labels must be a non-empty 1-D sequence")
+        if not_int.any():
+            raise DatasetError(f"label id {labels[np.argmax(not_int)]} is not an integer")
         vocab = tuple(str(v) for v in self.vocabulary)
         if not vocab:
             raise DatasetError("vocabulary must not be empty")
@@ -115,6 +133,7 @@ class LabelAssignment:
             )
         if labels.min() < 0 or labels.max() >= len(vocab):
             raise DatasetError("label ids must index the vocabulary")
+        labels = labels.astype(np.int64)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "vocabulary", vocab)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy.special import xlogy
 
-from .datasets import Dataset
+from .datasets import Dataset, integer_values
 from .knn import NeighborLists, check_threads, exact_knn
 
 __all__ = [
@@ -70,18 +71,26 @@ class GraphProvenance:
         object.__setattr__(self, "options", dict(self.options))
 
 
-def _endpoint_array(values, n: int) -> np.ndarray:
-    """Endpoints as int64 in 0..n-1; fractional or non-finite values raise, never cast."""
-    raw = np.asarray(values).reshape(-1)
-    if raw.dtype.kind not in "biu":
-        real = raw.astype(float)
-        bad = ~np.isfinite(real) | (real != np.trunc(real))
-        if bad.any():
-            raise GraphError(f"edge endpoint {real[np.argmax(bad)]} is not an integer")
-        raw = real
-    if raw.size and (raw.min() < 0 or raw.max() >= n):
-        raise GraphError(f"edge endpoint outside 0..{n - 1}")
-    return raw.astype(np.int64)
+def _edge_fault(n, ei, ej, not_int_i, not_int_j, weights) -> str:
+    """`edges[idx]: reason` for the first input edge that breaks a rule and
+    the first rule it breaks; of a duplicate pair, the later copy breaks it."""
+    w = np.array(weights, dtype=float).reshape(-1)
+    not_int = not_int_i | not_int_j
+    outside = (ei < 0) | (ei >= n) | (ej < 0) | (ej >= n)
+    at = np.flatnonzero(~(not_int | outside))
+    si, sj = ei[at].astype(np.int64), ej[at].astype(np.int64)
+    order = np.lexsort((sj, si))
+    dup = np.zeros(ei.size, dtype=bool)
+    dup[at[order[1:]][(np.diff(si[order]) == 0) & (np.diff(sj[order]) == 0)]] = True
+    broken = np.array([not_int, ei == ej, ei > ej, outside, dup, ~(np.isfinite(w) & (w > 0))])
+    idx = int(np.argmax(broken.any(axis=0)))
+    rule = int(np.argmax(broken[:, idx]))  # indexes the reasons below, in rule order
+    i, j = (ei[idx], ej[idx]) if rule == 0 else (int(ei[idx]), int(ej[idx]))
+    return f"edges[{idx}]: " + (
+        f"edge endpoint {i if not_int_i[idx] else j} is not an integer",
+        f"self-loop ({i},{j})", f"endpoints must satisfy i < j, got ({i},{j})",
+        f"endpoint outside 0..{n - 1}", f"duplicate edge ({i},{j})",
+        f"weight must be positive and finite, got {float(w[idx])}")[rule]
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,7 @@ class RelationshipGraph:
     """Simple undirected graph with positive weights, one record per pair.
 
     Edges are stored as parallel arrays with i < j, sorted lexicographically;
-    the constructor sorts and validates.
+    the constructor sorts and validates, naming the first bad input edge.
     """
 
     n_vertices: int
@@ -102,26 +111,21 @@ class RelationshipGraph:
         n = int(self.n_vertices)
         if n < 1:
             raise GraphError(f"n_vertices must be positive, got {n}")
-        ei = _endpoint_array(self.edges_i, n)
-        ej = _endpoint_array(self.edges_j, n)
+        ri, not_int_i = integer_values(np.reshape(self.edges_i, -1))
+        rj, not_int_j = integer_values(np.reshape(self.edges_j, -1))
         w = np.array(self.weights, dtype=float).reshape(-1)
-        if not (ei.size == ej.size == w.size):
+        if not (ri.size == rj.size == w.size):
             raise GraphError("edge arrays must have equal length")
-        if ei.size:
-            if np.any(ei == ej):
-                v = int(ei[np.argmax(ei == ej)])
-                raise GraphError(f"self-loop at vertex {v}")
-            if np.any(ei > ej):
-                raise GraphError("edges must satisfy i < j")
+        ok = not (not_int_i.any() or not_int_j.any()) and (
+            not ri.size or (min(ri.min(), rj.min()) >= 0 and max(ri.max(), rj.max()) < n))
+        if ok:
+            ei, ej = ri.astype(np.int64), rj.astype(np.int64)
             order = np.lexsort((ej, ei))
             ei, ej, w = ei[order], ej[order], w[order]
             dup = (ei[1:] == ei[:-1]) & (ej[1:] == ej[:-1])
-            if np.any(dup):
-                at = int(np.argmax(dup))
-                raise GraphError(f"duplicate edge ({ei[at]},{ej[at]})")
-            if not np.isfinite(w).all() or np.any(w <= 0):
-                at = int(np.argmax(~(np.isfinite(w) & (w > 0))))
-                raise GraphError(f"edge ({ei[at]},{ej[at]}) has weight {w[at]}")
+            ok = not (np.any(ei >= ej) or np.any(dup) or not (np.isfinite(w) & (w > 0)).all())
+        if not ok:
+            raise GraphError(_edge_fault(n, ri, rj, not_int_i, not_int_j, self.weights))
         for arr in (ei, ej, w):
             arr.setflags(write=False)
         object.__setattr__(self, "n_vertices", n)
@@ -455,15 +459,45 @@ def save_graph(graph: RelationshipGraph, path) -> None:
         fh.write("}\n")
 
 
+def _json_edges(edges: list):
+    """(i, j, weight) arrays of parsed JSON edges, and the first type fault or None.
+
+    An edge is [int, int, number], booleans excluded.  The arrays stop
+    before the first edge that is not, so a rule an earlier edge breaks
+    is named first.
+    """
+    if set(map(type, edges)) <= {list} and set(map(len, edges)) <= {3}:
+        flat = list(chain.from_iterable(edges))
+        fi, fj, fw = flat[0::3], flat[1::3], flat[2::3]
+        weight_types = set(map(type, fw))
+        if set(map(type, fi)) | set(map(type, fj)) <= {int} and weight_types <= {int, float}:
+            # via str, an integer past the double range reads as inf, as 1e400 does
+            w = np.array(list(map(str, fw)) if int in weight_types else fw, dtype=float)
+            try:
+                return np.array(fi, dtype=np.int64), np.array(fj, dtype=np.int64), w, None
+            except OverflowError:  # past int64: exact objects, so a broken rule shows the value
+                return np.array(fi, dtype=object), np.array(fj, dtype=object), w, None
+    for t, edge in enumerate(edges):
+        if type(edge) is not list or len(edge) != 3:
+            fault = "expected [i, j, weight]"
+        elif type(edge[0]) is not int or type(edge[1]) is not int:
+            fault = "endpoints must be integers"
+        elif type(edge[2]) not in (int, float):
+            fault = "weight must be a number"
+        else:
+            continue
+        return (*_json_edges(edges[:t])[:3], f"edges[{t}]: {fault}")
+
+
 def load_graph(path) -> RelationshipGraph:
-    """Read a graph file, rejecting malformed edges with their location."""
+    """Read a graph file; errors name it, and a bad edge's index and broken rule."""
     path = Path(path)
     if not path.is_file():
         raise GraphError(f"no such file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers past Python's digit limit
         raise GraphError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphError(f"{path}: top-level value must be an object")
@@ -471,43 +505,28 @@ def load_graph(path) -> RelationshipGraph:
         if key not in doc:
             raise GraphError(f"{path}: missing key {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise GraphError(f"{path}: 'n' must be a positive integer, got {n!r}")
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise GraphError(f"{path}: 'edges' must be an array")
-    seen: set[tuple[int, int]] = set()
-    ei = np.empty(len(edges), dtype=np.int64)
-    ej = np.empty(len(edges), dtype=np.int64)
-    w = np.empty(len(edges))
-    for idx, edge in enumerate(edges):
-        where = f"{path}: edges[{idx}]"
-        if not isinstance(edge, (list, tuple)) or len(edge) != 3:
-            raise GraphError(f"{where}: expected [i, j, weight]")
-        i, j, weight = edge
-        if not isinstance(i, int) or not isinstance(j, int):
-            raise GraphError(f"{where}: endpoints must be integers")
-        if i == j:
-            raise GraphError(f"{where}: self-loop ({i},{j})")
-        if i > j:
-            raise GraphError(f"{where}: endpoints must satisfy i < j, got ({i},{j})")
-        if not 0 <= i < n or not 0 <= j < n:
-            raise GraphError(f"{where}: endpoint outside 0..{n - 1}")
-        if (i, j) in seen:
-            raise GraphError(f"{where}: duplicate edge ({i},{j})")
-        seen.add((i, j))
-        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-            raise GraphError(f"{where}: weight must be a number")
-        weight = float(weight)
-        if not (weight > 0 and math.isfinite(weight)):
-            raise GraphError(f"{where}: weight must be positive and finite, got {weight}")
-        ei[idx], ej[idx], w[idx] = i, j, weight
-    options = doc.get("options", {})
-    if not isinstance(options, dict):
-        raise GraphError(f"{path}: 'options' must be an object")
-    param = doc.get("param")
-    if param is not None and (not isinstance(param, (int, float))
-                              or isinstance(param, bool)):
-        raise GraphError(f"{path}: 'param' must be a number or null")
-    provenance = GraphProvenance(doc["method"], param, options)
-    return RelationshipGraph(n, ei, ej, w, provenance)
+    ei, ej, w, fault = _json_edges(edges)
+    options, param = doc.get("options", {}), doc.get("param")
+    provenance = GraphProvenance("external")  # stands in while a fault waits
+    if fault is None and not isinstance(options, dict):
+        fault = "'options' must be an object"
+    elif fault is None and param is not None and type(param) not in (int, float):
+        fault = "'param' must be a number or null"
+    elif fault is None:
+        try:
+            provenance = GraphProvenance(doc["method"], param, options)
+        except GraphError as exc:
+            fault = str(exc)
+    try:
+        # the edges before a waiting fault go first, as they are read in order
+        graph = RelationshipGraph(n, ei, ej, w, provenance)
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
+    if fault is not None:
+        raise GraphError(f"{path}: {fault}")
+    return graph

@@ -106,6 +106,16 @@ class TestGraphScore:
         err = capsys.readouterr().err
         assert "3" in err and "150" in err
 
+    def test_integer_weight_past_double_range_is_an_input_error(self, blobs_csv, tmp_path,
+                                                                 capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text('{"n": 150, "method": "external", "edges": [[0, 1, '
+                         + "1" * 400 + "]]}")
+        code = run("score", "--graph", str(gpath), "--data", str(blobs_csv),
+                   "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        assert "edges[0]: weight must be positive and finite, got inf" in capsys.readouterr().err
+
     def test_external_labels_override(self, blobs_csv, tmp_path):
         gpath = tmp_path / "g.json"
         assert run("graph", "--data", str(blobs_csv), "--method", "umap",

@@ -241,6 +241,22 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError):
             LabelAssignment(np.array([0, 1]), ("a", "b", "c"))
 
+    @pytest.mark.parametrize("ids, shown", [
+        ([0.7, 1.9, 0.2], "0.7"),
+        ([0, float("nan"), 1], "nan"),
+        ([0, 1, float("inf")], "inf"),
+    ], ids=["fractional", "nan", "inf"])
+    def test_label_ids_must_be_integers(self, ids, shown):
+        with pytest.raises(DatasetError, match=f"label id {shown} is not an integer"):
+            LabelAssignment(ids, ("a", "b"))
+
+    def test_integral_label_ids_kept(self):
+        labels = LabelAssignment([0.0, 1.0, 0.0], ("a", "b"))
+        assert labels.labels.dtype == np.int64
+        assert labels.labels.tolist() == [0, 1, 0]
+        with pytest.raises(DatasetError, match="index the vocabulary"):
+            LabelAssignment([0, 10 ** 30, 1], ("a", "b"))
+
     def test_rejects_coordinates_whose_distances_overflow(self):
         data, _ = preset("three-blobs", seed=7)
         with warnings.catch_warnings():

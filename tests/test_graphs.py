@@ -227,6 +227,23 @@ class TestGraphType:
         with pytest.raises(GraphError, match="outside"):
             RelationshipGraph(4, [0.0], [1e30], [0.5], GraphProvenance("external"))
 
+    @pytest.mark.parametrize("edges_i, edges_j, weights, message", [
+        ([0, 2, 0], [1, 3, 1], [0.5, 0.5, 0.5], "edges[2]: duplicate edge (0,1)"),
+        ([0, 3], [1, 3], [0.5, 0.5], "edges[1]: self-loop (3,3)"),
+        ([0, 2], [1, 1], [0.5, 0.5], "edges[1]: endpoints must satisfy i < j, got (2,1)"),
+        ([0, 1], [1, 2], [0.5, -2.0], "edges[1]: weight must be positive and finite, got -2.0"),
+        ([0, 0.5], [1, 2], [0.5, 0.5], "edges[1]: edge endpoint 0.5 is not an integer"),
+        ([1, 0], [9, 0], [-1.0, 0.5], "edges[0]: endpoint outside 0..3"),
+        ([1, 0], [2, 0], [-1.0, 0.5], "edges[0]: weight must be positive and finite, got -1.0"),
+        ([5, 0], [5, 1], [0.5, 0.5], "edges[0]: self-loop (5,5)"),
+        ([10 ** 30], [2], [0.5], f"edges[0]: endpoints must satisfy i < j, got ({10 ** 30},2)"),
+    ], ids=["duplicate", "self-loop", "order", "weight", "fractional", "first-rule",
+            "first-edge", "loop-before-range", "huge"])
+    def test_error_names_first_input_edge_and_rule(self, edges_i, edges_j, weights, message):
+        with pytest.raises(GraphError) as exc:
+            RelationshipGraph(4, edges_i, edges_j, weights, GraphProvenance("external"))
+        assert str(exc.value) == message
+
     def test_sorts_edges(self):
         graph = RelationshipGraph(4, [2, 0], [3, 1], [0.1, 0.2],
                                   GraphProvenance("external"))
@@ -306,6 +323,66 @@ class TestPersistence:
         ))
         with pytest.raises(GraphError, match="method"):
             load_graph(path)
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        return path
+
+    def test_boolean_endpoints_rejected(self, tmp_path):
+        path = self.write(tmp_path, '{"n": 5, "method": "external", '
+                                    '"edges": [[false, true, 0.5]]}')
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"{path}: edges[0]: endpoints must be integers"
+
+    def test_boolean_n_rejected(self, tmp_path):
+        path = self.write(tmp_path, '{"n": true, "method": "external", "edges": []}')
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"{path}: 'n' must be a positive integer, got True"
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_weight_past_double_range_is_infinite(self, tmp_path, sign):
+        path = self.write(tmp_path, '{"n": 5, "method": "external", '
+                                    f'"edges": [[0, 1, 0.5], [1, 2, {sign}{"9" * 400}]]}}')
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert str(exc.value) == (
+            f"{path}: edges[1]: weight must be positive and finite, got {sign}inf")
+
+    @pytest.mark.parametrize("endpoint", [10 ** 30, 2 ** 63, -(10 ** 30)])
+    def test_huge_endpoint_outside_range(self, tmp_path, endpoint):
+        i, j = sorted([1, endpoint]) if endpoint > 0 else (endpoint, 1)
+        path = self.write(tmp_path, json.dumps(
+            {"n": 5, "method": "external", "edges": [[0, 1, 0.5], [i, j, 0.5]]}))
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"{path}: edges[1]: endpoint outside 0..4"
+
+    @pytest.mark.parametrize("raw", [
+        b'{"n": 5, "method": "external", "edges": [[0, 1, ' + b"1" * 5000 + b"]]}",
+        b'{"n": 5, "method": "\xff", "edges": []}',
+    ], ids=["integer-past-digit-limit", "not-utf8"])
+    def test_unreadable_json_is_a_graph_error(self, tmp_path, raw):
+        path = tmp_path / "g.json"
+        path.write_bytes(raw)
+        with pytest.raises(GraphError, match="invalid JSON"):
+            load_graph(path)
+
+    def test_provenance_error_names_the_file(self, tmp_path):
+        path = self.write(tmp_path, '{"n": 5, "method": ["x"], "edges": []}')
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert str(exc.value).startswith(f"{path}: method must be one of")
+
+    def test_edges_in_any_order_sorted_on_load(self, tmp_path):
+        path = self.write(tmp_path, '{"n": 4, "method": "external", '
+                                    '"edges": [[2, 3, 0.25], [0, 3, 1], [0, 1, 0.5]]}')
+        graph = load_graph(path)
+        assert graph.edges_i.tolist() == [0, 0, 2]
+        assert graph.edges_j.tolist() == [1, 3, 3]
+        assert graph.weights.tolist() == [0.5, 1.0, 0.25]
 
     def test_external_file_scores(self, tmp_path):
         path = tmp_path / "ext.json"

@@ -1,0 +1,226 @@
+"""Differential fuzz test: load_graph against the per-edge loop it replaced.
+
+`reference_load_graph` is that loop, kept here as the slow reference.  It
+differs from the code it was copied from only where the behaviour changed
+on purpose, each marked "changed:" below.  Documents are drawn with
+hypothesis (derandomized, so every run sees the same corpus): valid graphs
+with random edge order, plus wrong arity, non-list edges, float, bool,
+string and huge endpoints, self-loops, i > j, out-of-range endpoints,
+duplicates, non-finite, zero, negative, bool, string and huge weights,
+several faults at once, and bad header fields.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relscore.graphs import (
+    GraphError,
+    GraphProvenance,
+    RelationshipGraph,
+    load_graph,
+    save_graph,
+)
+
+
+def reference_load_graph(path):
+    """Read a graph file, rejecting malformed edges with their location."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise GraphError(f"{path}: top-level value must be an object")
+    for key in ("n", "method", "edges"):
+        if key not in doc:
+            raise GraphError(f"{path}: missing key {key!r}")
+    n = doc["n"]
+    # changed: a boolean is not an integer
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise GraphError(f"{path}: 'n' must be a positive integer, got {n!r}")
+    edges = doc["edges"]
+    if not isinstance(edges, list):
+        raise GraphError(f"{path}: 'edges' must be an array")
+    seen: set[tuple[int, int]] = set()
+    ei = np.empty(len(edges), dtype=np.int64)
+    ej = np.empty(len(edges), dtype=np.int64)
+    w = np.empty(len(edges))
+    for idx, edge in enumerate(edges):
+        where = f"{path}: edges[{idx}]"
+        if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+            raise GraphError(f"{where}: expected [i, j, weight]")
+        i, j, weight = edge
+        # changed: booleans are not integers
+        if type(i) is not int or type(j) is not int:
+            raise GraphError(f"{where}: endpoints must be integers")
+        if i == j:
+            raise GraphError(f"{where}: self-loop ({i},{j})")
+        if i > j:
+            raise GraphError(f"{where}: endpoints must satisfy i < j, got ({i},{j})")
+        if not 0 <= i < n or not 0 <= j < n:
+            raise GraphError(f"{where}: endpoint outside 0..{n - 1}")
+        if (i, j) in seen:
+            raise GraphError(f"{where}: duplicate edge ({i},{j})")
+        seen.add((i, j))
+        if not isinstance(weight, (int, float)) or isinstance(weight, bool):
+            raise GraphError(f"{where}: weight must be a number")
+        try:
+            weight = float(weight)
+        except OverflowError:  # changed: an integer past the double range is inf
+            weight = math.inf if weight > 0 else -math.inf
+        if not (weight > 0 and math.isfinite(weight)):
+            raise GraphError(f"{where}: weight must be positive and finite, got {weight}")
+        ei[idx], ej[idx], w[idx] = i, j, weight
+    options = doc.get("options", {})
+    if not isinstance(options, dict):
+        raise GraphError(f"{path}: 'options' must be an object")
+    param = doc.get("param")
+    if param is not None and (not isinstance(param, (int, float))
+                              or isinstance(param, bool)):
+        raise GraphError(f"{path}: 'param' must be a number or null")
+    try:
+        provenance = GraphProvenance(doc["method"], param, options)
+    except GraphError as exc:  # changed: the message names the file
+        raise GraphError(f"{path}: {exc}") from None
+    return RelationshipGraph(n, ei, ej, w, provenance)
+
+
+BAD_ENDPOINTS = [10 ** 30, 1.0, -1, 2 ** 63, True, 2 ** 63 - 1, 0.5, -(10 ** 30),
+                 2 ** 64, False, -(2 ** 63) - 1, "1", 2 ** 63 + 1, -0.0, None,
+                 10 ** 400, [0], -7]
+NON_NUMBERS = [True, False, "x", "1.0", None, [1.0], {}]
+BAD_WEIGHTS = [0.0, 10 ** 400, -1.5, math.inf, 0, math.nan, -(10 ** 400), -math.inf,
+               2 ** 1024 - 2 ** 970,  # rounds up past the largest double
+               -3, -0.0] + NON_NUMBERS
+BAD_EDGES = [[], [0], [0, 1], [0, 1, 0.5, 2], 3, 0.5, "e", None, True,
+             {"i": 0, "j": 1, "w": 0.5}, [[0, 1, 0.5]]]
+GOOD_WEIGHTS = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.integers(1, 10 ** 20),
+    st.sampled_from([1e-300, 0.5, 1.0, 2 ** 1024 - 2 ** 971]),  # the largest double
+)
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.sampled_from([5, 3, 6, 2, 4, 7, 1]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min(len(pairs), 2),
+                           max_size=9)) if pairs else []
+    edges = [[i, j, draw(GOOD_WEIGHTS)] for i, j in chosen]
+    for _ in range(draw(st.sampled_from([1, 2, 0, 3]))):
+        kind = draw(st.sampled_from(["small", "endpoint", "weight", "loop", "flip", "dup",
+                                     "edge", "loop and weight"]))
+        triples = [e for e in edges if isinstance(e, list) and len(e) == 3]
+        if kind == "dup" and triples:
+            src = draw(st.sampled_from(triples))
+            at = draw(st.integers(0, len(edges)))
+            edges.insert(at, [src[0], src[1], draw(st.one_of(GOOD_WEIGHTS, st.just(src[2])))])
+            continue
+        if kind == "edge":
+            edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(BAD_EDGES)))
+            continue
+        if not triples:
+            continue
+        edge = draw(st.sampled_from(triples))
+        if kind == "endpoint":
+            edge[draw(st.integers(0, 1))] = draw(st.sampled_from(BAD_ENDPOINTS))
+        elif kind == "small":
+            edge[draw(st.integers(0, 1))] = draw(st.integers(-2, n + 2))
+        elif kind == "weight":
+            edge[2] = draw(st.sampled_from(BAD_WEIGHTS))
+        elif kind == "loop":
+            edge[1] = edge[0]
+        elif kind == "loop and weight":
+            edge[1], edge[2] = edge[0], draw(st.sampled_from(NON_NUMBERS))
+        else:
+            edge[0], edge[1] = edge[1], edge[0]
+    doc = {"n": n, "method": draw(st.sampled_from(["tsne", "umap", "external"])),
+           "param": draw(st.sampled_from([None, 30, 7.5])), "edges": edges}
+    if draw(st.booleans()):
+        doc["options"] = draw(st.sampled_from([{}, {"prune_eps": 1e-8, "candidates": 9}]))
+    if draw(st.sampled_from([False] * 9 + [True])):  # one bad header field
+        key = draw(st.sampled_from(["n", "method", "param", "options", "edges", "missing"]))
+        if key == "missing":
+            del doc[draw(st.sampled_from(["n", "method", "edges", "param"]))]
+        else:
+            doc[key] = draw(st.sampled_from({
+                "n": [0, -1, True, False, 2.5, "4", None, max(n - 2, 1)],
+                "method": ["isomap", "TSNE", None, 3, ["x"]],
+                "param": ["thirty", True, [1], {}],
+                "options": [[], "x", 1, None],
+                "edges": [{}, "edges", None, 3],
+            }[key]))
+    if draw(st.sampled_from([False] * 29 + [True])):
+        doc = draw(st.sampled_from([[doc], "graph", 3, None]))
+    return doc
+
+
+EDGE_REASONS = ("expected [i, j, weight]", "endpoints must be integers", "self-loop",
+                "endpoints must satisfy i < j", "endpoint outside", "duplicate edge",
+                "weight must be a number", "weight must be positive and finite")
+ENDPOINT_RULES = EDGE_REASONS[2:6]
+
+
+def _outcome(load, path):
+    try:
+        return load(path), None
+    except GraphError as exc:
+        return None, str(exc)
+
+
+def _edge_fault(message, path):
+    """(t, reason) of an `edges[t]: reason` message, or None for another fault."""
+    prefix = f"{path}: edges["
+    if not message.startswith(prefix):
+        return None
+    t, reason = message[len(prefix):].split("]: ", 1)
+    return int(t), reason
+
+
+def test_load_graph_matches_the_per_edge_loop(tmp_path_factory):
+    reached = set()
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(doc=documents())
+    def check(doc):
+        folder = tmp_path_factory.mktemp("fuzz")
+        path = folder / "g.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        graph, message = _outcome(load_graph, path)
+        expected, reference_message = _outcome(reference_load_graph, path)
+        if reference_message is not None:
+            fault = _edge_fault(reference_message, path)
+            reached.add(fault[1].split(" (")[0].split(", got")[0].split(" 0..")[0]
+                        if fault else "header")
+            if message != reference_message:
+                # the one allowed difference: edge t has a non-number weight and
+                # also breaks an endpoint rule; the weight may be named instead
+                t, reason = fault
+                assert reason.startswith(ENDPOINT_RULES)
+                i, j, weight = doc["edges"][t]
+                assert type(i) is int and type(j) is int
+                assert type(weight) not in (int, float)
+                assert message == f"{path}: edges[{t}]: weight must be a number"
+                reached.add("named the weight")
+            return
+        reached.add("valid")
+        assert message is None
+        assert graph.n_vertices == expected.n_vertices
+        for got, want in ((graph.edges_i, expected.edges_i),
+                          (graph.edges_j, expected.edges_j),
+                          (graph.weights, expected.weights)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert graph.provenance == expected.provenance
+        assert type(graph.provenance.param) is type(expected.provenance.param)
+        saved, saved_reference = folder / "saved.json", folder / "reference.json"
+        save_graph(graph, saved)
+        save_graph(expected, saved_reference)
+        assert saved.read_bytes() == saved_reference.read_bytes()
+        again = folder / "again.json"
+        save_graph(load_graph(saved), again)
+        assert again.read_bytes() == saved.read_bytes()
+
+    check()
+    assert reached == set(EDGE_REASONS) | {"valid", "header", "named the weight"}
