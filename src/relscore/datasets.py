@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,16 +36,31 @@ class DatasetError(ValueError):
 def integer_values(values) -> tuple[np.ndarray, np.ndarray]:
     """`values` as an array, with the mask of its entries that are not integers.
 
-    Integer arrays come back as they are, and so do Python ints too large
-    for int64 (as exact objects); anything else is read as float, and its
-    fractional or non-finite entries are flagged, never cast.
+    Integer and boolean arrays come back as they are.  A float array is
+    cast to float and its fractional or non-finite entries are flagged.
+    An object array is never cast, so Python ints too large for int64
+    stay exact; its entries that are neither integers nor integral
+    floats are flagged.  Entries of any other dtype are all flagged.
     """
     raw = np.asarray(values)
-    if raw.dtype.kind in "biu" or (
-            raw.dtype.kind == "O" and all(isinstance(v, int) for v in raw.flat)):
+    if raw.dtype.kind in "biu":
         return raw, np.zeros(raw.shape, dtype=bool)
-    real = raw.astype(float)
-    return real, ~np.isfinite(real) | (real != np.trunc(real))
+    if raw.dtype.kind == "f":
+        real = raw.astype(float)
+        return real, ~np.isfinite(real) | (real != np.trunc(real))
+    if raw.dtype.kind == "O":
+        exact = [isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+                 for v in raw.flat]
+        return raw, ~np.array(exact, dtype=bool).reshape(raw.shape)
+    return raw, np.ones(raw.shape, dtype=bool)
+
+
+def _whole(value, low: int, what: str) -> int:
+    """Scalar integer `value` of at least `low`, booleans excluded; else a DatasetError."""
+    raw, not_int = integer_values(value)
+    if raw.ndim or raw.dtype.kind == "b" or not_int.any() or raw < low:
+        raise DatasetError(f"{what}, got {value!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -91,9 +107,12 @@ class Dataset:
         if ids is None:
             ids = tuple(range(n))
         else:
-            ids = tuple(int(i) for i in ids)
-            if len(ids) != n:
-                raise DatasetError(f"{len(ids)} ids for {n} rows")
+            ids, not_int = integer_values(tuple(ids))
+            if ids.shape != (n,):
+                raise DatasetError(f"{ids.size} ids for {n} rows")
+            if not_int.any():
+                raise DatasetError(f"row id {ids[np.argmax(not_int)]} is not an integer")
+            ids = tuple(map(int, ids.tolist()))
             if len(set(ids)) != len(ids):
                 raise DatasetError("row ids must be unique")
         values.setflags(write=False)
@@ -167,44 +186,30 @@ class BlobSpec:
         canon = []
         dim = None
         for center, stddev, count in self.clusters:
-            center = tuple(float(x) for x in center)
+            try:
+                center, stddev = tuple(float(x) for x in center), float(stddev)
+            except (TypeError, ValueError, OverflowError):
+                raise DatasetError(f"cluster center {center!r} and stddev {stddev!r} "
+                                   "must be finite numbers") from None
             if dim is None:
                 dim = len(center)
             if len(center) != dim or dim == 0:
                 raise DatasetError("cluster centers must share one nonzero dimension")
             if not all(math.isfinite(x) for x in center):
                 raise DatasetError("cluster centers must be finite")
-            stddev = float(stddev)
             if not (stddev > 0 and math.isfinite(stddev)):
                 raise DatasetError(f"stddev must be positive and finite, got {stddev}")
-            count = int(count)
-            if count < 1:
-                raise DatasetError(f"cluster count must be positive, got {count}")
+            count = _whole(count, 1, "cluster count must be a positive integer")
             canon.append((center, stddev, count))
         if sum(c for _, _, c in canon) < 2:
             raise DatasetError("cluster counts must sum to at least 2")
-        seed = int(self.seed)
-        if seed < 0:
-            raise DatasetError("seed must be a nonnegative integer")
+        seed = _whole(self.seed, 0, "seed must be a nonnegative integer")
         object.__setattr__(self, "clusters", tuple(canon))
         object.__setattr__(self, "seed", seed)
 
     @property
-    def total(self) -> int:
-        return sum(count for _, _, count in self.clusters)
-
-    @property
     def dim(self) -> int:
         return len(self.clusters[0][0])
-
-    def to_dict(self) -> dict:
-        return {
-            "clusters": [
-                {"center": list(center), "stddev": stddev, "count": count}
-                for center, stddev, count in self.clusters
-            ],
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BlobSpec":
@@ -423,8 +428,8 @@ def preset(name: str, seed: int = 7) -> tuple[Dataset, LabelAssignment]:
     if name == "three-blobs":
         return generate_blobs(preset_blob_spec(seed))
     if name == "split-labels":
-        data, base = generate_blobs(preset_blob_spec(seed))
         spec = preset_blob_spec(seed)
+        data, _ = generate_blobs(spec)
         vocabulary = []
         for i in range(len(spec.clusters)):
             vocabulary += [f"{i}a", f"{i}b"]
@@ -447,6 +452,9 @@ def load_blob_spec(path) -> BlobSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers past Python's digit limit
         raise DatasetError(f"{path}: invalid JSON: {exc}") from None
-    return BlobSpec.from_dict(doc)
+    try:
+        return BlobSpec.from_dict(doc)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None

@@ -15,6 +15,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import xlogy
 
 from .datasets import Dataset, integer_values
@@ -71,10 +72,17 @@ class GraphProvenance:
         object.__setattr__(self, "options", dict(self.options))
 
 
-def _edge_fault(n, ei, ej, not_int_i, not_int_j, weights) -> str:
+def _float_values(values) -> np.ndarray:
+    """`values` as a flat float array; an integer past the double range reads as inf."""
+    try:
+        return np.array(values, dtype=float).reshape(-1)
+    except OverflowError:  # via str, as float("1e400") is inf
+        return np.array(list(map(str, np.asarray(values, dtype=object).flat)), dtype=float)
+
+
+def _edge_fault(n, ei, ej, not_int_i, not_int_j, w) -> str:
     """`edges[idx]: reason` for the first input edge that breaks a rule and
     the first rule it breaks; of a duplicate pair, the later copy breaks it."""
-    w = np.array(weights, dtype=float).reshape(-1)
     not_int = not_int_i | not_int_j
     outside = (ei < 0) | (ei >= n) | (ej < 0) | (ej >= n)
     at = np.flatnonzero(~(not_int | outside))
@@ -97,8 +105,9 @@ def _edge_fault(n, ei, ej, not_int_i, not_int_j, weights) -> str:
 class RelationshipGraph:
     """Simple undirected graph with positive weights, one record per pair.
 
-    Edges are stored as parallel arrays with i < j, sorted lexicographically;
-    the constructor sorts and validates, naming the first bad input edge.
+    Edges are int64/int64/float64 arrays with i < j, sorted lexicographically
+    by a scipy CSR placement sized by the largest endpoints, not by n_vertices;
+    the constructor validates them, naming the first bad input edge.
     """
 
     n_vertices: int
@@ -113,19 +122,21 @@ class RelationshipGraph:
             raise GraphError(f"n_vertices must be positive, got {n}")
         ri, not_int_i = integer_values(np.reshape(self.edges_i, -1))
         rj, not_int_j = integer_values(np.reshape(self.edges_j, -1))
-        w = np.array(self.weights, dtype=float).reshape(-1)
+        w = _float_values(self.weights)
         if not (ri.size == rj.size == w.size):
             raise GraphError("edge arrays must have equal length")
         ok = not (not_int_i.any() or not_int_j.any()) and (
             not ri.size or (min(ri.min(), rj.min()) >= 0 and max(ri.max(), rj.max()) < n))
         if ok:
             ei, ej = ri.astype(np.int64), rj.astype(np.int64)
-            order = np.lexsort((ej, ei))
-            ei, ej, w = ei[order], ej[order], w[order]
-            dup = (ei[1:] == ei[:-1]) & (ej[1:] == ej[:-1])
-            ok = not (np.any(ei >= ej) or np.any(dup) or not (np.isfinite(w) & (w > 0)).all())
-        if not ok:
-            raise GraphError(_edge_fault(n, ri, rj, not_int_i, not_int_j, self.weights))
+            ok = not np.any(ei >= ej) and (np.isfinite(w) & (w > 0)).all()
+        if ok:
+            shape = (ei.max(initial=-1) + 1, ej.max(initial=-1) + 1)
+            upper = csr_array((w, (ei, ej)), shape=shape)
+        if not ok or upper.nnz < w.size:  # the CSR merges a duplicate pair into one entry
+            raise GraphError(_edge_fault(n, ri, rj, not_int_i, not_int_j, w))
+        ei = np.repeat(np.arange(upper.shape[0], dtype=np.int64), np.diff(upper.indptr))
+        ej, w = upper.indices.astype(np.int64), upper.data
         for arr in (ei, ej, w):
             arr.setflags(write=False)
         object.__setattr__(self, "n_vertices", n)
@@ -138,14 +149,11 @@ class RelationshipGraph:
         return int(self.edges_i.size)
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR-style (offsets, neighbors, weights), neighbors ascending."""
-        src = np.concatenate([self.edges_i, self.edges_j])
-        dst = np.concatenate([self.edges_j, self.edges_i])
-        w = np.concatenate([self.weights, self.weights])
-        order = np.lexsort((dst, src))
-        src, dst, w = src[order], dst[order], w[order]
-        offsets = np.searchsorted(src, np.arange(self.n_vertices + 1))
-        return offsets, dst, w
+        """Directed view as CSR: int64 offsets and neighbors (ascending), float64 weights."""
+        n = self.n_vertices
+        upper = csr_array((self.weights, (self.edges_i, self.edges_j)), shape=(n, n))
+        both = upper + upper.T
+        return both.indptr.astype(np.int64), both.indices.astype(np.int64), both.data
 
 
 @dataclass(frozen=True)
@@ -156,7 +164,6 @@ class BandwidthCalibration:
     achieved: np.ndarray
     target: float
     converged: np.ndarray
-    tolerance: float = CALIBRATION_TOL
 
     @property
     def all_converged(self) -> bool:
@@ -401,9 +408,9 @@ def umap_calibration(dataset: Dataset, n_neighbors: int) -> BandwidthCalibration
 
 
 def _check_n_neighbors(n, n_neighbors):
-    if int(n_neighbors) != n_neighbors:
+    if integer_values(n_neighbors)[1].any():
         raise GraphError(f"n_neighbors must be an integer, got {n_neighbors}")
-    if not 2 <= int(n_neighbors) <= n - 1:
+    if not 2 <= n_neighbors <= n - 1:
         raise GraphError(f"n_neighbors must be in [2, {n - 1}], got {n_neighbors}")
 
 
@@ -471,8 +478,7 @@ def _json_edges(edges: list):
         fi, fj, fw = flat[0::3], flat[1::3], flat[2::3]
         weight_types = set(map(type, fw))
         if set(map(type, fi)) | set(map(type, fj)) <= {int} and weight_types <= {int, float}:
-            # via str, an integer past the double range reads as inf, as 1e400 does
-            w = np.array(list(map(str, fw)) if int in weight_types else fw, dtype=float)
+            w = _float_values(fw)
             try:
                 return np.array(fi, dtype=np.int64), np.array(fj, dtype=np.int64), w, None
             except OverflowError:  # past int64: exact objects, so a broken rule shows the value

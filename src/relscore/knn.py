@@ -54,7 +54,6 @@ class NeighborLists:
     indices: np.ndarray
     distances: np.ndarray
     k: int
-    metric: str = "euclidean"
 
     def __post_init__(self):
         self.indices.setflags(write=False)
@@ -77,7 +76,6 @@ class NeighborLists:
             indices=np.ascontiguousarray(self.indices[:, :k]),
             distances=np.ascontiguousarray(self.distances[:, :k]),
             k=k,
-            metric=self.metric,
         )
 
 

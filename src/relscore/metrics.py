@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .datasets import Dataset, LabelAssignment
+from .datasets import Dataset, LabelAssignment, integer_values
 from .graphs import (
     GraphError,
     GraphProvenance,
@@ -97,7 +97,12 @@ class ComponentAssignment:
     component_ids: np.ndarray
 
     def __post_init__(self):
-        ids = np.array(self.component_ids, dtype=np.int64)
+        ids, not_int = integer_values(self.component_ids)
+        if not_int.any():
+            raise MetricsError(f"component id {ids[np.argmax(not_int)]} is not an integer")
+        if ids.size and (ids.min() < 0 or ids.max() >= ids.size):
+            raise MetricsError(f"component ids must be vertex ids in 0..{ids.size - 1}")
+        ids = ids.astype(np.int64)
         ids.setflags(write=False)
         object.__setattr__(self, "component_ids", ids)
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr
 
-from .datasets import Dataset, LabelAssignment
+from .datasets import Dataset, LabelAssignment, integer_values
 from .graphs import GraphError, build_graph, shared_neighbors
 from .graphs import build_tsne_graph  # not called: the benchmark's tracer test reads it
 from .metrics import MetricConfig, MetricsError, report
@@ -61,7 +61,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("k_min", "k_max", "n_init", "budget", "seed"):
             value = getattr(self, name)
-            if int(value) != value:
+            if integer_values(value)[1].any():
                 raise OptimizerError(f"{name} must be an integer, got {value}")
             object.__setattr__(self, name, int(value))
         if not 2 <= self.k_min < self.k_max:

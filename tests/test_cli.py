@@ -49,6 +49,35 @@ class TestSynth:
         assert run("synth", "--spec", str(spec), "--out", str(out)) == 0
         assert len(out.read_text().strip().split("\n")) == 11
 
+    @pytest.mark.parametrize("cluster, seed, message", [
+        ({"count": 2.5}, 0, "cluster count must be a positive integer, got 2.5"),
+        ({"count": True}, 0, "cluster count must be a positive integer, got True"),
+        ({}, 1.9, "seed must be a nonnegative integer, got 1.9"),
+        ({"stddev": "wide"}, 0,
+         "cluster center (0, 0) and stddev 'wide' must be finite numbers"),
+        ({"center": ["a", 0]}, 0,
+         "cluster center ('a', 0) and stddev 1.0 must be finite numbers"),
+    ], ids=["fractional-count", "boolean-count", "fractional-seed", "text-stddev",
+            "text-center"])
+    def test_bad_spec_value_is_an_input_error(self, tmp_path, capsys, cluster, seed,
+                                              message):
+        first = {"center": [0, 0], "stddev": 1.0, "count": 5, **cluster}
+        second = {"center": [9, 9], "stddev": 1.0, "count": 5}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"clusters": [first, second], "seed": seed}))
+        assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+
+    @pytest.mark.parametrize("raw", [
+        b'{"clusters": [{"center": [0, 0], "stddev": 1.0, "count": ' + b"1" * 5000 + b"}]}",
+        b'{"clusters": [{"center": [0, 0], "stddev": 1.0, "count": 5}], "x": "\xff"}',
+    ], ids=["integer-past-digit-limit", "not-utf8"])
+    def test_unreadable_spec_is_an_input_error(self, tmp_path, capsys, raw):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(raw)
+        assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {spec}: invalid JSON: ")
+
     def test_requires_a_source(self, tmp_path):
         assert run("synth", "--out", str(tmp_path / "x.csv")) == 1
 
@@ -105,6 +134,18 @@ class TestGraphScore:
         assert code == 1
         err = capsys.readouterr().err
         assert "3" in err and "150" in err
+
+    def test_vertex_count_far_above_the_endpoints_is_named(self, blobs_csv, tmp_path,
+                                                           capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({
+            "n": 10 ** 30, "method": "external", "edges": [[0, 1, 0.5], [2, 5, 1.0]],
+        }))
+        code = run("score", "--graph", str(gpath), "--data", str(blobs_csv),
+                   "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: graph has {10 ** 30} vertices but dataset has 150 rows\n")
 
     def test_integer_weight_past_double_range_is_an_input_error(self, blobs_csv, tmp_path,
                                                                  capsys):

@@ -250,6 +250,20 @@ class TestDatasetInvariants:
         with pytest.raises(DatasetError, match=f"label id {shown} is not an integer"):
             LabelAssignment(ids, ("a", "b"))
 
+    @pytest.mark.parametrize("ids, shown", [
+        ((0.5, 1.5), "0.5"),
+        ((0, float("nan")), "nan"),
+        ((float("inf"), 0), "inf"),
+    ], ids=["fractional", "nan", "inf"])
+    def test_row_ids_must_be_integers(self, ids, shown):
+        with pytest.raises(DatasetError) as exc:
+            Dataset(np.array([[0.0], [1.0]]), ids=ids)
+        assert str(exc.value) == f"row id {shown} is not an integer"
+
+    def test_integral_row_ids_kept(self):
+        data = Dataset(np.array([[0.0], [1.0]]), ids=(1.0, 10 ** 30))
+        assert data.ids == (1, 10 ** 30)
+
     def test_integral_label_ids_kept(self):
         labels = LabelAssignment([0.0, 1.0, 0.0], ("a", "b"))
         assert labels.labels.dtype == np.int64

@@ -185,7 +185,7 @@ class TestUmapGraph:
         for i, j in zip(graph.edges_i.tolist(), graph.edges_j.tolist()):
             assert (i, j) in cand or (j, i) in cand
 
-    @pytest.mark.parametrize("k", [0, 1, 40, 2.5])
+    @pytest.mark.parametrize("k", [0, 1, 40, 2.5, math.nan, math.inf])
     def test_n_neighbors_out_of_range(self, small_random, k):
         with pytest.raises(GraphError, match="n_neighbors"):
             build_umap_graph(small_random, k)
@@ -237,8 +237,11 @@ class TestGraphType:
         ([1, 0], [2, 0], [-1.0, 0.5], "edges[0]: weight must be positive and finite, got -1.0"),
         ([5, 0], [5, 1], [0.5, 0.5], "edges[0]: self-loop (5,5)"),
         ([10 ** 30], [2], [0.5], f"edges[0]: endpoints must satisfy i < j, got ({10 ** 30},2)"),
+        ([0], [1], [10 ** 400], "edges[0]: weight must be positive and finite, got inf"),
+        ([10 ** 400, 0.5], [10 ** 401, 2], [0.5, 0.5], "edges[0]: endpoint outside 0..3"),
     ], ids=["duplicate", "self-loop", "order", "weight", "fractional", "first-rule",
-            "first-edge", "loop-before-range", "huge"])
+            "first-edge", "loop-before-range", "huge", "weight-past-double-range",
+            "huge-beside-float"])
     def test_error_names_first_input_edge_and_rule(self, edges_i, edges_j, weights, message):
         with pytest.raises(GraphError) as exc:
             RelationshipGraph(4, edges_i, edges_j, weights, GraphProvenance("external"))
@@ -384,6 +387,14 @@ class TestPersistence:
         assert graph.edges_j.tolist() == [1, 3, 3]
         assert graph.weights.tolist() == [0.5, 1.0, 0.25]
 
+    def test_vertex_count_far_above_the_endpoints_loads(self, tmp_path):
+        path = self.write(tmp_path, json.dumps({
+            "n": 10 ** 30, "method": "external", "edges": [[2, 5, 1.0], [0, 1, 0.5]]}))
+        graph = load_graph(path)
+        assert graph.n_vertices == 10 ** 30
+        assert (graph.edges_i.tolist(), graph.edges_j.tolist()) == ([0, 2], [1, 5])
+        assert graph.weights.tolist() == [0.5, 1.0]
+
     def test_external_file_scores(self, tmp_path):
         path = tmp_path / "ext.json"
         path.write_text(json.dumps({
@@ -471,3 +482,89 @@ class TestGraphWriter:
         assert back.edges_j.tobytes() == graph.edges_j.tobytes()
         assert back.weights.tobytes() == graph.weights.tobytes()
         assert back.provenance == graph.provenance
+
+
+def lexsort_edges(ei, ej, w):
+    """The edge order the constructor once built with a lexsort."""
+    ei, ej = np.asarray(ei).astype(np.int64), np.asarray(ej).astype(np.int64)
+    order = np.lexsort((ej, ei))
+    return ei[order], ej[order], np.asarray(w, dtype=float)[order]
+
+
+def lexsort_adjacency(n, ei, ej, w):
+    """The directed view adjacency() once built: both directions, lexsorted."""
+    src, dst = np.concatenate([ei, ej]), np.concatenate([ej, ei])
+    w = np.concatenate([w, w])
+    order = np.lexsort((dst, src))
+    return np.searchsorted(src[order], np.arange(n + 1)), dst[order], w[order]
+
+
+def first_duplicate(ei, ej):
+    """The message for the later copy of the first pair that repeats, in input order."""
+    seen = set()
+    for t, pair in enumerate(zip(ei, ej)):
+        if pair in seen:
+            return f"edges[{t}]: duplicate edge ({pair[0]},{pair[1]})"
+        seen.add(pair)
+    return None
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, i, j, weights): valid edges in any order, sometimes with copies of
+    some pairs, and an n from the largest endpoint + 1 to far above it."""
+    top = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(top) for j in range(i + 1, top)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if chosen and draw(st.booleans()):
+        chosen += draw(st.lists(st.sampled_from(chosen), min_size=1, max_size=3))
+    chosen = draw(st.permutations(chosen))
+    n = top + draw(st.sampled_from([0, 1, 1000, 10 ** 5]))
+    weights = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    return (n, [i for i, _ in chosen], [j for _, j in chosen],
+            [draw(weights) for _ in chosen])
+
+
+class TestCsrMatchesLexsort:
+    """The CSR constructor and adjacency() against the lexsorts they replaced."""
+
+    def check(self, n, ei, ej, w):
+        graph = RelationshipGraph(n, ei, ej, w, GraphProvenance("external"))
+        ref = lexsort_edges(ei, ej, w)
+        got = (graph.edges_i, graph.edges_j, graph.weights)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(graph.adjacency(), lexsort_adjacency(n, *ref)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("method, k", [("tsne", 5.0), ("tsne", 12.0), ("umap", 6)])
+    def test_builder_output(self, small_random, monkeypatch, method, k):
+        inputs = []
+
+        def recording(n, ei, ej, w, provenance):
+            inputs.append((n, ei, ej, w))
+            return RelationshipGraph(n, ei, ej, w, provenance)
+
+        monkeypatch.setattr(graphs_module, "RelationshipGraph", recording)
+        graphs_module.build_graph(method, small_random, k)
+        (n, ei, ej, w), = inputs
+        assert ei.size > 0
+        self.check(n, ei, ej, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 10 ** 5])
+    def test_no_edges(self, n):
+        self.check(n, [], [], [])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(edge_inputs(), st.booleans())
+    def test_any_order_duplicates_and_large_n(self, inputs, as_arrays):
+        n, ei, ej, w = inputs
+        duplicate = first_duplicate(ei, ej)
+        if as_arrays:
+            ei, ej, w = np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64), np.array(w)
+        if duplicate is None:
+            self.check(n, ei, ej, w)
+        else:
+            with pytest.raises(GraphError) as exc:
+                RelationshipGraph(n, ei, ej, w, GraphProvenance("external"))
+            assert str(exc.value) == duplicate

@@ -3,6 +3,7 @@ import pytest
 
 from relscore.datasets import preset
 from relscore.metrics import (
+    ComponentAssignment,
     MetricConfig,
     MetricsError,
     classify_neighbors,
@@ -78,6 +79,17 @@ class TestComponents:
         labels = make_labels([0, 0, 1, 1, 0, 1], ("a", "b"))
         comp = intra_label_components(graph, labels)
         assert comp.component_ids.tolist() == [0, 1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("ids, message", [
+        ([0.7, 1.2, 2.9], "component id 0.7 is not an integer"),
+        ([0, float("nan"), 2], "component id nan is not an integer"),
+        ([0, 1, 3], "component ids must be vertex ids in 0..2"),
+        ([0, -1, 2], "component ids must be vertex ids in 0..2"),
+    ], ids=["fractional", "nan", "past-last-vertex", "negative"])
+    def test_component_ids_must_be_vertex_ids(self, ids, message):
+        with pytest.raises(MetricsError) as exc:
+            ComponentAssignment(ids)
+        assert str(exc.value) == message
 
     def test_components_label_pure(self):
         from relscore.oracle import random_graph

@@ -196,6 +196,9 @@ class TestEstimate:
         {"k_min": 2, "k_max": 10, "n_init": 0},
         {"k_min": 2, "k_max": 10, "n_init": 9, "budget": 5},
         {"k_min": 2, "k_max": 10, "target": "best"},
+        {"k_min": math.nan, "k_max": 10},
+        {"k_min": 2, "k_max": math.inf},
+        {"k_min": 2, "k_max": 10, "budget": -math.inf},
     ])
     def test_invalid_config(self, bad):
         with pytest.raises(OptimizerError):
