@@ -114,8 +114,9 @@ def _add_common(parser: _Parser) -> None:
         "--threads",
         type=_positive_threads,
         default=usable_cores(),
-        help="cap on the kNN worker threads; never changes a byte of any "
-             "output (default: usable cores)",
+        help="cap on the worker threads of the kNN pass and of bandwidth "
+             "calibration; never changes a byte of any output (default: "
+             "usable cores)",
     )
 
 

@@ -201,8 +201,12 @@ class BlobSpec:
                 raise DatasetError(f"stddev must be positive and finite, got {stddev}")
             count = _whole(count, 1, "cluster count must be a positive integer")
             canon.append((center, stddev, count))
-        if sum(c for _, _, c in canon) < 2:
+        rows = sum(c for _, _, c in canon)
+        if rows < 2:
             raise DatasetError("cluster counts must sum to at least 2")
+        if rows * dim > np.iinfo(np.intp).max:  # checked before anything is allocated
+            raise DatasetError(f"clusters hold {rows * dim} coordinates in all, more than "
+                               f"an array can index ({np.iinfo(np.intp).max})")
         seed = _whole(self.seed, 0, "seed must be a nonnegative integer")
         object.__setattr__(self, "clusters", tuple(canon))
         object.__setattr__(self, "seed", seed)

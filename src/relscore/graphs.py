@@ -19,7 +19,8 @@ from scipy.sparse import csr_array
 from scipy.special import xlogy
 
 from .datasets import Dataset, integer_values
-from .knn import NeighborLists, check_threads, exact_knn
+from . import knn
+from .knn import NeighborLists, check_threads, exact_knn, run_blocks
 
 __all__ = [
     "GraphError",
@@ -117,7 +118,10 @@ class RelationshipGraph:
     provenance: GraphProvenance
 
     def __post_init__(self):
-        n = int(self.n_vertices)
+        raw, not_int = integer_values(self.n_vertices)
+        if raw.ndim or raw.dtype.kind == "b" or not_int.any():
+            raise GraphError(f"n_vertices must be an integer, got {self.n_vertices!r}")
+        n = int(raw)
         if n < 1:
             raise GraphError(f"n_vertices must be positive, got {n}")
         ri, not_int_i = integer_values(np.reshape(self.edges_i, -1))
@@ -272,9 +276,31 @@ def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | Non
     return neighbors.prefix(count)
 
 
-def _tsne_parts(nbrs: NeighborLists, perplexity: float):
-    n = nbrs.n
-    d2 = nbrs.distances * nbrs.distances
+def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
+    """`solve` run over row blocks of the distance lists on the kNN pool.
+
+    solve(distances) returns (sigma, achieved, converged, weights) for
+    its rows.  A block holds max(1, 2**16 // k) rows, the kNN block
+    budget, and writes only its own rows; each row's bisection reads its
+    row alone, so neither blocks nor `threads` change a bit.
+    """
+    n, k = nbrs.n, nbrs.k
+    chunk = max(1, knn._BLOCK_DOUBLES // k)
+    sigma, achieved = np.empty(n), np.empty(n)
+    converged = np.empty(n, dtype=bool)
+    weights = np.empty((n, k))
+
+    def block(start: int) -> None:
+        rows = slice(start, start + chunk)
+        sigma[rows], achieved[rows], converged[rows], weights[rows] = solve(
+            nbrs.distances[rows])
+
+    run_blocks(block, range(0, n, chunk), threads)
+    return BandwidthCalibration(sigma, achieved, target, converged), weights
+
+
+def _tsne_rows(distances: np.ndarray, perplexity: float):
+    d2 = distances * distances
     d2s = d2 - d2[:, :1]  # shift by the row minimum: conditionals unchanged
 
     def conditionals(rows, sigma):
@@ -286,17 +312,29 @@ def _tsne_parts(nbrs: NeighborLists, perplexity: float):
         h_bits = -xlogy(p, p).sum(axis=1) / _LN2
         return np.exp2(h_bits)
 
+    n = d2s.shape[0]
     sigma, achieved, converged = _bisect_bandwidth(
         row_objective, n, float(perplexity), CALIBRATION_TOL
     )
-    cal = BandwidthCalibration(sigma, achieved, float(perplexity), converged)
-    return cal, conditionals(np.arange(n), sigma)
+    return sigma, achieved, converged, conditionals(np.arange(n), sigma)
 
 
-def tsne_calibration(dataset: Dataset, perplexity: float) -> BandwidthCalibration:
-    """Bandwidths solving 2^H(p_.|i) = perplexity over the candidate neighbors."""
+def _tsne_parts(nbrs: NeighborLists, perplexity: float, threads: int | None):
+    """Calibration and conditionals p_{j|i} over the candidate lists."""
+    return _calibrated(nbrs, float(perplexity),
+                       lambda distances: _tsne_rows(distances, perplexity), threads)
+
+
+def tsne_calibration(dataset: Dataset, perplexity: float, *,
+                     threads: int | None = None) -> BandwidthCalibration:
+    """Bandwidths solving 2^H(p_.|i) = perplexity over the candidate neighbors.
+
+    `threads` caps the worker threads of the kNN pass and of the
+    calibration; it never changes a bit.
+    """
     count = neighbor_count("tsne", dataset.n, perplexity)
-    cal, _ = _tsne_parts(exact_knn(dataset, count), perplexity)
+    cal, _ = _tsne_parts(_neighbor_lists(dataset, count, None, threads), perplexity,
+                         threads)
     return cal
 
 
@@ -318,8 +356,9 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
     dropped.  Non-converged vertices keep a clamped bandwidth and are
     counted in the provenance options.  Given `neighbors` (lists of at
     least that many per vertex), the candidates are their prefix and no
-    kNN pass runs; the graph is the same.  `threads` caps the kNN
-    pass's worker threads (see `exact_knn`).
+    kNN pass runs; the graph is the same.  `threads` caps the worker
+    threads of the kNN pass and of the calibration (see `run_blocks`);
+    it never changes a byte.
     """
     n = dataset.n
     count = neighbor_count("tsne", n, perplexity)
@@ -329,7 +368,7 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
     if prune_eps < 0:
         raise GraphError(f"prune_eps must be nonnegative, got {prune_eps}")
     nbrs = _neighbor_lists(dataset, count, neighbors, threads)
-    cal, p = _tsne_parts(nbrs, perplexity)
+    cal, p = _tsne_parts(nbrs, perplexity, threads)
     ei, ej, first, second = _pair_groups(n, nbrs.indices, p)
     w = (first + second) / (2.0 * n)
     keep = w > prune_eps
@@ -380,10 +419,10 @@ def fuzzy_union(w_a: float, w_b: float):
     return hi + lo * (1.0 - hi)
 
 
-def _umap_parts(nbrs: NeighborLists):
-    n, n_neighbors = nbrs.n, nbrs.k
-    rho = nbrs.distances[:, 0]
-    adj = np.maximum(nbrs.distances - rho[:, None], 0.0)
+def _umap_rows(distances: np.ndarray):
+    n, n_neighbors = distances.shape
+    rho = distances[:, 0]
+    adj = np.maximum(distances - rho[:, None], 0.0)
     # all candidates at distance rho: membership sum is k for any sigma
     degenerate = adj.max(axis=1) == 0.0
     target = math.log2(n_neighbors)
@@ -396,14 +435,23 @@ def _umap_parts(nbrs: NeighborLists):
     )
     sigma[degenerate] = 1.0
     achieved[degenerate] = float(n_neighbors)
-    cal = BandwidthCalibration(sigma, achieved, target, converged)
-    return cal, np.exp(-adj / sigma[:, None])
+    return sigma, achieved, converged, np.exp(-adj / sigma[:, None])
 
 
-def umap_calibration(dataset: Dataset, n_neighbors: int) -> BandwidthCalibration:
-    """Bandwidths solving sum_j exp(-max(0, d_ij - rho_i)/sigma_i) = log2(k)."""
+def _umap_parts(nbrs: NeighborLists, threads: int | None):
+    """Calibration and directed memberships over the neighbor lists."""
+    return _calibrated(nbrs, math.log2(nbrs.k), _umap_rows, threads)
+
+
+def umap_calibration(dataset: Dataset, n_neighbors: int, *,
+                     threads: int | None = None) -> BandwidthCalibration:
+    """Bandwidths solving sum_j exp(-max(0, d_ij - rho_i)/sigma_i) = log2(k).
+
+    `threads` caps the worker threads of the kNN pass and of the
+    calibration; it never changes a bit.
+    """
     count = neighbor_count("umap", dataset.n, n_neighbors)
-    cal, _ = _umap_parts(exact_knn(dataset, count))
+    cal, _ = _umap_parts(_neighbor_lists(dataset, count, None, threads), threads)
     return cal
 
 
@@ -424,12 +472,13 @@ def build_umap_graph(dataset: Dataset, n_neighbors: int, *,
     the probabilistic OR; zero-weight pairs are omitted.  Given
     `neighbors` (lists of at least n_neighbors per vertex), their prefix
     is used and no kNN pass runs; the graph is the same.  `threads` caps
-    the kNN pass's worker threads (see `exact_knn`).
+    the worker threads of the kNN pass and of the calibration (see
+    `run_blocks`); it never changes a byte.
     """
     n = dataset.n
     count = neighbor_count("umap", n, n_neighbors)
     nbrs = _neighbor_lists(dataset, count, neighbors, threads)
-    cal, memberships = _umap_parts(nbrs)
+    cal, memberships = _umap_parts(nbrs, threads)
     i, j, first, second = _pair_groups(n, nbrs.indices, memberships)
     w = fuzzy_union(first, second)
     keep = w > 0.0

@@ -8,11 +8,13 @@ holds at most 2**16 // N rows, so each N-wide temporary stays at or
 under 512 KiB whatever N is, and a block's two temporaries fit in a
 core's L2 cache.  The feature columns are copied once into a
 contiguous (m, N) array, so each feature's subtraction reads
-contiguous memory.  Blocks run on a pool of worker threads (numpy
-releases the GIL); each block writes only its own rows of the result.
-Each row is accumulated independently of its block, in the same
-feature order, so neither the block size nor the number of workers
-changes a bit of the result.
+contiguous memory.  Blocks run on `run_blocks`, the one pool of worker
+threads in relscore (numpy releases the GIL), which bandwidth
+calibration in `graphs` shares; each block writes only its own rows of
+the result.  Each row is accumulated independently of its block, in the
+same feature order, so neither the block size nor the number of workers
+changes a bit of the result.  `threads` caps the workers of both the
+kNN pass and calibration, and never changes a byte.
 
 Selection avoids a full-row sort: `np.partition` finds the k-th
 smallest squared distance of each row, every column strictly below it
@@ -34,10 +36,10 @@ from .datasets import Dataset
 
 __all__ = [
     "NeighborLists", "KnnError", "check_threads", "euclidean", "exact_knn",
-    "usable_cores",
+    "run_blocks", "usable_cores",
 ]
 
-_BLOCK_DOUBLES = 1 << 16  # per N-wide block temporary: 512 KiB
+_BLOCK_DOUBLES = 1 << 16  # per block temporary, kNN and calibration: 512 KiB
 
 
 class KnnError(ValueError):
@@ -106,6 +108,19 @@ def check_threads(threads: int | None) -> int:
     return threads
 
 
+def run_blocks(fn, starts, threads: int | None) -> None:
+    """Call fn(start) for every start on min(threads, usable cores, blocks) workers.
+
+    `threads` is checked by `check_threads`.  Each call must write only
+    its own block's part of a result; the first error a block raised is
+    raised here.
+    """
+    workers = min(check_threads(threads), usable_cores(), len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(fn, starts):  # re-raises a block's error
+            pass
+
+
 def _squared_distance_block(columns: np.ndarray, rows: slice) -> np.ndarray:
     # columns is the (m, N) transpose of the data.  Accumulate (a-b)^2
     # feature by feature: keeps peak memory at two chunk*N temporaries
@@ -150,9 +165,9 @@ def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
     """The k nearest other vertices per vertex, ties broken by smaller id.
 
     `chunk` overrides the number of rows per distance block (default
-    2**16 // N, at least 1).  `threads` caps the worker threads (default
-    and upper limit: the usable cores; never more than there are
-    blocks).  Neither changes the result.
+    2**16 // N, at least 1).  `threads` caps the worker threads of
+    `run_blocks` (default and upper limit: the usable cores; never more
+    than there are blocks).  Neither changes the result.
     """
     n = dataset.n
     k = int(k)
@@ -162,7 +177,6 @@ def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
         chunk = max(1, _BLOCK_DOUBLES // n)
     if chunk < 1:
         raise KnnError(f"chunk must be positive, got {chunk}")
-    threads = check_threads(threads)
     columns = np.ascontiguousarray(dataset.values.T)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
@@ -176,9 +190,5 @@ def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
         indices[start:stop] = order
         distances[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
 
-    starts = range(0, n, chunk)
-    workers = min(threads, usable_cores(), len(starts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(block, starts):  # re-raises a block's error
-            pass
+    run_blocks(block, range(0, n, chunk), threads)
     return NeighborLists(indices=indices, distances=distances, k=k)

@@ -483,8 +483,9 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
 
     A failing build annotates its row instead of aborting the sweep.
     Neighbors are computed once, for the largest count a valid k needs,
-    and every build reads its exact prefix; `threads` caps that pass's
-    worker threads (see `exact_knn`).
+    and every build reads its exact prefix.  `threads` caps the worker
+    threads of that pass and of every build's calibration (see
+    `run_blocks`); it never changes a byte.
     """
     if method not in ("tsne", "umap"):
         raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
@@ -495,7 +496,8 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
     rows = []
     for k in ks:
         try:
-            graph = build_graph(method, dataset, k, prune_eps, neighbors=neighbors)
+            graph = build_graph(method, dataset, k, prune_eps, neighbors=neighbors,
+                                threads=threads)
             stats = _compute_stats(graph, labels)
             precision, _, fscore = _vertex_scores(stats, config.alpha, config.beta)
             recall_a0 = _recall(stats.tp_count, stats.fn_edge, stats.fn_component, 0.0)

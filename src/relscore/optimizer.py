@@ -225,8 +225,9 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     successful trials and evaluates the unevaluated integer with the
     highest expected improvement (ties to smaller k).  Hard build errors
     are recorded as failed trials and kept out of the surrogate.  One kNN
-    pass, at k_max, serves every trial as exact prefixes; `threads` caps
-    its worker threads (see `exact_knn`).
+    pass, at k_max, serves every trial as exact prefixes.  `threads`
+    caps the worker threads of that pass and of every trial's
+    calibration (see `run_blocks`); it never changes a byte.
     """
     if method not in ("tsne", "umap"):
         raise OptimizerError(f"method must be 'tsne' or 'umap', got {method!r}")
@@ -249,7 +250,8 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     neighbors = shared_neighbors(method, dataset, [config.k_max], threads=threads)
 
     def objective(k: int) -> tuple[float, dict[str, float]]:
-        graph = build_graph(method, dataset, k, prune_eps, neighbors=neighbors)
+        graph = build_graph(method, dataset, k, prune_eps, neighbors=neighbors,
+                            threads=threads)
         rep = report(graph, labels, config.metric)
         per_label = {name: s.fscore for name, s in rep.per_label.items()}
         if label_target is not None:

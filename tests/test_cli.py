@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from relscore import knn
+from relscore import datasets, knn
 from relscore.cli import build_parser, main
 from relscore.knn import usable_cores
 
@@ -67,6 +68,18 @@ class TestSynth:
         spec.write_text(json.dumps({"clusters": [first, second], "seed": seed}))
         assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
         assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+
+    def test_unindexable_count_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(datasets, "_box_muller", None)  # nothing is drawn
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"clusters": [
+            {"center": [0, 0], "stddev": 1.0, "count": 10 ** 30}]}))
+        assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
+        top = np.iinfo(np.intp).max
+        assert capsys.readouterr().err == (
+            f"error: {spec}: clusters hold {2 * 10 ** 30} coordinates in all, more "
+            f"than an array can index ({top})\n")
+        assert not (tmp_path / "d.csv").exists()
 
     @pytest.mark.parametrize("raw", [
         b'{"clusters": [{"center": [0, 0], "stddev": 1.0, "count": ' + b"1" * 5000 + b"}]}",

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from relscore import datasets as datasets_module
 from relscore.datasets import (
     BlobSpec,
     Dataset,
@@ -161,6 +162,17 @@ class TestGenerateBlobs:
     def test_invalid_specs(self, bad):
         with pytest.raises(DatasetError):
             BlobSpec(**bad)
+
+    def test_coordinate_total_past_the_index_range(self, monkeypatch):
+        monkeypatch.setattr(datasets_module, "_box_muller", None)  # nothing is drawn
+        top = np.iinfo(np.intp).max
+        spec = BlobSpec(clusters=(((0.0,), 1.0, top),))  # exactly indexable: kept
+        assert spec.clusters[0][2] == top
+        total = 2 * (top // 2 + 1)
+        with pytest.raises(DatasetError) as exc:
+            BlobSpec(clusters=(((0.0, 0.0), 1.0, top // 2), ((1.0, 1.0), 1.0, 1)))
+        assert str(exc.value) == (f"clusters hold {total} coordinates in all, more than "
+                                  f"an array can index ({top})")
 
 
 class TestRelabel:

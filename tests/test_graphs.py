@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from relscore import graphs as graphs_module
+from relscore import knn as knn_module
 from relscore.datasets import Dataset, preset
 from relscore.graphs import (
+    CALIBRATION_TOL,
+    BandwidthCalibration,
     GraphError,
     GraphProvenance,
     RelationshipGraph,
@@ -21,7 +25,9 @@ from relscore.graphs import (
     tsne_calibration,
     umap_calibration,
 )
-from relscore.metrics import MetricConfig, report
+from relscore.knn import exact_knn
+from relscore.metrics import MetricConfig, report, sweep
+from relscore.optimizer import OptimizerConfig, estimate
 
 from conftest import make_graph, make_labels
 
@@ -246,6 +252,22 @@ class TestGraphType:
         with pytest.raises(GraphError) as exc:
             RelationshipGraph(4, edges_i, edges_j, weights, GraphProvenance("external"))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [4.5, float("nan"), float("inf"), True, np.float64(2.5),
+                                   "4", [4]],
+                             ids=["fractional", "nan", "inf", "boolean", "numpy-fractional",
+                                  "text", "list"])
+    def test_rejects_non_integer_vertex_count(self, n):
+        with pytest.raises(GraphError) as exc:
+            RelationshipGraph(n, [0], [1], [1.0], GraphProvenance("external"))
+        assert str(exc.value) == f"n_vertices must be an integer, got {n!r}"
+
+    def test_integral_vertex_count_kept(self):
+        for n in (4.0, np.int64(4), np.float64(4.0)):
+            graph = RelationshipGraph(n, [0], [1], [1.0], GraphProvenance("external"))
+            assert type(graph.n_vertices) is int and graph.n_vertices == 4
+        with pytest.raises(GraphError, match="n_vertices must be positive, got 0"):
+            RelationshipGraph(0.0, [], [], [], GraphProvenance("external"))
 
     def test_sorts_edges(self):
         graph = RelationshipGraph(4, [2, 0], [3, 1], [0.1, 0.2],
@@ -568,3 +590,168 @@ class TestCsrMatchesLexsort:
             with pytest.raises(GraphError) as exc:
                 RelationshipGraph(n, ei, ej, w, GraphProvenance("external"))
             assert str(exc.value) == duplicate
+
+
+def unblocked_tsne_parts(nbrs, perplexity):
+    """t-SNE calibration as it ran before row blocks: one bisection over all rows."""
+    n = nbrs.n
+    d2 = nbrs.distances * nbrs.distances
+    d2s = d2 - d2[:, :1]
+
+    def conditionals(rows, sigma):
+        e = np.exp(-d2s[rows] / (2.0 * np.square(sigma))[:, None])
+        return e / e.sum(axis=1, keepdims=True)
+
+    def row_objective(rows, sigma):
+        p = conditionals(rows, sigma)
+        h_bits = -xlogy(p, p).sum(axis=1) / math.log(2.0)
+        return np.exp2(h_bits)
+
+    sigma, achieved, converged = graphs_module._bisect_bandwidth(
+        row_objective, n, float(perplexity), CALIBRATION_TOL
+    )
+    cal = BandwidthCalibration(sigma, achieved, float(perplexity), converged)
+    return cal, conditionals(np.arange(n), sigma)
+
+
+def unblocked_umap_parts(nbrs):
+    """UMAP calibration as it ran before row blocks: one bisection over all rows."""
+    n, n_neighbors = nbrs.n, nbrs.k
+    rho = nbrs.distances[:, 0]
+    adj = np.maximum(nbrs.distances - rho[:, None], 0.0)
+    degenerate = adj.max(axis=1) == 0.0
+    target = math.log2(n_neighbors)
+
+    def row_objective(rows, sigma):
+        return np.exp(-adj[rows] / sigma[:, None]).sum(axis=1)
+
+    sigma, achieved, converged = graphs_module._bisect_bandwidth(
+        row_objective, n, target, CALIBRATION_TOL, skip=degenerate
+    )
+    sigma[degenerate] = 1.0
+    achieved[degenerate] = float(n_neighbors)
+    cal = BandwidthCalibration(sigma, achieved, target, converged)
+    return cal, np.exp(-adj / sigma[:, None])
+
+
+def calibration_input(name):
+    blobs, _ = preset("three-blobs", seed=7)
+    if name == "blobs":
+        return blobs
+    if name == "duplicate-grid":  # four copies of each point: degenerate UMAP rows at k=3
+        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
+        return Dataset(np.repeat(grid, 4, axis=0))
+    return Dataset(blobs.values * 1e30)  # "blobs-1e30": bandwidths past the search bound
+
+
+class TestBlockedCalibration:
+    """Row-blocked, threaded calibration against the unblocked code it replaced."""
+
+    @staticmethod
+    def same(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def check_calibration(self, got, want):
+        for name in ("sigma", "achieved", "converged"):
+            self.same(getattr(got, name), getattr(want, name))
+        assert got.target == want.target
+
+    @pytest.mark.parametrize("method, k", [("tsne", 2.0), ("tsne", 12.0), ("umap", 3),
+                                           ("umap", 10)])
+    @pytest.mark.parametrize("name", ["blobs", "duplicate-grid", "blobs-1e30"])
+    def test_any_blocks_and_threads_are_bitwise_unblocked(self, name, method, k,
+                                                          monkeypatch):
+        data = calibration_input(name)
+        n, count = data.n, graphs_module.neighbor_count(method, data.n, k)
+        nbrs = exact_knn(data, count)
+        if method == "tsne":
+            want_cal, want_w = unblocked_tsne_parts(nbrs, k)
+            blocked = graphs_module._tsne_parts
+            monkeypatch.setattr(graphs_module, "_tsne_parts", lambda nbrs, perplexity, threads:
+                                unblocked_tsne_parts(nbrs, perplexity))
+        else:
+            want_cal, want_w = unblocked_umap_parts(nbrs)
+            blocked = graphs_module._umap_parts
+            monkeypatch.setattr(graphs_module, "_umap_parts",
+                                lambda nbrs, threads: unblocked_umap_parts(nbrs))
+        want_graph = graphs_module.build_graph(method, data, k, neighbors=nbrs)
+        monkeypatch.setattr(graphs_module, f"_{method}_parts", blocked)
+        if name == "blobs-1e30":
+            assert not want_cal.all_converged
+        if name == "duplicate-grid" and k == 3:
+            assert (want_cal.achieved == 3.0).all() and not want_cal.converged.any()
+
+        blocks = []
+        real_run_blocks = graphs_module.run_blocks
+
+        def counting(fn, starts, threads):
+            blocks.append(len(starts))
+            real_run_blocks(fn, starts, threads)
+
+        monkeypatch.setattr(graphs_module, "run_blocks", counting)
+        monkeypatch.setattr(knn_module, "usable_cores", lambda: 3)
+        calibrate = tsne_calibration if method == "tsne" else umap_calibration
+        args = (k,) if method == "tsne" else ()
+        # one-row blocks cost a bisection loop per row: run them at 3 threads only
+        for budget, n_blocks, thread_counts in ((1 << 16, 1, (1, 2, 3)),
+                                                (40 * count, math.ceil(n / 40), (1, 2, 3)),
+                                                (1, n, (3,))):
+            monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", budget)
+            blocks.clear()
+            for threads in thread_counts:
+                cal, w = blocked(nbrs, *args, threads)
+                self.check_calibration(cal, want_cal)
+                self.same(w, want_w)
+            graph = graphs_module.build_graph(method, data, k, neighbors=nbrs, threads=3)
+            for a, b in zip((graph.edges_i, graph.edges_j, graph.weights),
+                            (want_graph.edges_i, want_graph.edges_j, want_graph.weights)):
+                self.same(a, b)
+            assert graph.provenance == want_graph.provenance
+            self.check_calibration(calibrate(data, k, threads=2), want_cal)
+            assert blocks == [n_blocks] * (len(thread_counts) + 2)
+
+    def test_workers_capped_by_threads_cores_and_blocks(self, blobs, monkeypatch):
+        started = []
+        real = knn_module.ThreadPoolExecutor
+
+        def spy(max_workers):
+            started.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(knn_module, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(knn_module, "usable_cores", lambda: 3)
+        data, _ = blobs
+        nbrs = exact_knn(data, 10)
+        started.clear()
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 1)  # one row per block
+        build_umap_graph(data, 10, neighbors=nbrs, threads=1)
+        build_tsne_graph(data, 3.0, neighbors=nbrs, threads=10 ** 9)
+        assert started == [1, 3]
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 75 * 10)  # two blocks
+        build_umap_graph(data, 10, neighbors=nbrs, threads=3)
+        assert started == [1, 3, 2]
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 1 << 16)  # one block
+        build_umap_graph(data, 10, neighbors=nbrs, threads=None)
+        assert started == [1, 3, 2, 1]
+        # the calibration functions cap their kNN pass and calibration alike
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 1)
+        started.clear()
+        umap_calibration(data, 10, threads=2)
+        tsne_calibration(data, 3.0, threads=10 ** 9)
+        assert started == [2, 2, 3, 3]
+
+    def test_sweep_and_estimate_forward_threads_to_every_build(self, blobs, monkeypatch):
+        data, labels = blobs
+        seen = []
+        for name in ("build_tsne_graph", "build_umap_graph"):
+            def spy(*args, real=getattr(graphs_module, name), **kwargs):
+                seen.append(kwargs["threads"])
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(graphs_module, name, spy)
+        result = sweep(data, labels, "umap", [5, 10, 15], threads=2)
+        assert len(result.rows) == 3 and seen == [2, 2, 2]
+        seen.clear()
+        config = OptimizerConfig(k_min=5, k_max=20, n_init=3, budget=5)
+        _, trace = estimate(data, labels, "tsne", config, threads=3)
+        assert len(trace.trials) == 5 and seen == [3] * 5

@@ -252,6 +252,14 @@ class TestThreads:
         exact_knn(data, 5, threads=None)  # 1 block
         assert started == [1, 3, 2, 1]
 
+    def test_run_blocks_raises_a_blocks_error(self):
+        def block(start):
+            if start == 2:
+                raise KnnError("block 2 failed")
+
+        with pytest.raises(KnnError, match="block 2 failed"):
+            knn_module.run_blocks(block, range(4), 2)
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_rejects_nonpositive_threads(self, threads):
         with pytest.raises(KnnError, match="threads must be positive"):
