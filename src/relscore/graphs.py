@@ -19,8 +19,7 @@ from scipy.sparse import csr_array
 from scipy.special import xlogy
 
 from .datasets import Dataset, integer_values
-from . import knn
-from .knn import NeighborLists, check_threads, exact_knn, run_blocks
+from .knn import NeighborLists, block_rows, check_threads, exact_knn, run_blocks
 
 __all__ = [
     "GraphError",
@@ -280,12 +279,12 @@ def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
     """`solve` run over row blocks of the distance lists on the kNN pool.
 
     solve(distances) returns (sigma, achieved, converged, weights) for
-    its rows.  A block holds max(1, 2**16 // k) rows, the kNN block
+    its rows.  A block holds `block_rows(k)` rows, the kNN block
     budget, and writes only its own rows; each row's bisection reads its
     row alone, so neither blocks nor `threads` change a bit.
     """
     n, k = nbrs.n, nbrs.k
-    chunk = max(1, knn._BLOCK_DOUBLES // k)
+    chunk = block_rows(k)
     sigma, achieved = np.empty(n), np.empty(n)
     converged = np.empty(n, dtype=bool)
     weights = np.empty((n, k))
@@ -325,16 +324,13 @@ def _tsne_parts(nbrs: NeighborLists, perplexity: float, threads: int | None):
                        lambda distances: _tsne_rows(distances, perplexity), threads)
 
 
-def tsne_calibration(dataset: Dataset, perplexity: float, *,
-                     threads: int | None = None) -> BandwidthCalibration:
+def tsne_calibration(dataset: Dataset, perplexity: float) -> BandwidthCalibration:
     """Bandwidths solving 2^H(p_.|i) = perplexity over the candidate neighbors.
 
-    `threads` caps the worker threads of the kNN pass and of the
-    calibration; it never changes a bit.
+    The kNN pass and the calibration run on the usable cores.
     """
     count = neighbor_count("tsne", dataset.n, perplexity)
-    cal, _ = _tsne_parts(_neighbor_lists(dataset, count, None, threads), perplexity,
-                         threads)
+    cal, _ = _tsne_parts(exact_knn(dataset, count), perplexity, None)
     return cal
 
 
@@ -443,15 +439,13 @@ def _umap_parts(nbrs: NeighborLists, threads: int | None):
     return _calibrated(nbrs, math.log2(nbrs.k), _umap_rows, threads)
 
 
-def umap_calibration(dataset: Dataset, n_neighbors: int, *,
-                     threads: int | None = None) -> BandwidthCalibration:
+def umap_calibration(dataset: Dataset, n_neighbors: int) -> BandwidthCalibration:
     """Bandwidths solving sum_j exp(-max(0, d_ij - rho_i)/sigma_i) = log2(k).
 
-    `threads` caps the worker threads of the kNN pass and of the
-    calibration; it never changes a bit.
+    The kNN pass and the calibration run on the usable cores.
     """
     count = neighbor_count("umap", dataset.n, n_neighbors)
-    cal, _ = _umap_parts(_neighbor_lists(dataset, count, None, threads), threads)
+    cal, _ = _umap_parts(exact_knn(dataset, count), None)
     return cal
 
 

@@ -35,8 +35,8 @@ import numpy as np
 from .datasets import Dataset
 
 __all__ = [
-    "NeighborLists", "KnnError", "check_threads", "euclidean", "exact_knn",
-    "run_blocks", "usable_cores",
+    "NeighborLists", "KnnError", "block_rows", "check_threads", "euclidean",
+    "exact_knn", "run_blocks", "usable_cores",
 ]
 
 _BLOCK_DOUBLES = 1 << 16  # per block temporary, kNN and calibration: 512 KiB
@@ -108,6 +108,11 @@ def check_threads(threads: int | None) -> int:
     return threads
 
 
+def block_rows(width: int) -> int:
+    """Rows per block of `width`-wide temporaries: max(1, 2**16 // width)."""
+    return max(1, _BLOCK_DOUBLES // width)
+
+
 def run_blocks(fn, starts, threads: int | None) -> None:
     """Call fn(start) for every start on min(threads, usable cores, blocks) workers.
 
@@ -165,7 +170,7 @@ def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
     """The k nearest other vertices per vertex, ties broken by smaller id.
 
     `chunk` overrides the number of rows per distance block (default
-    2**16 // N, at least 1).  `threads` caps the worker threads of
+    `block_rows(N)`).  `threads` caps the worker threads of
     `run_blocks` (default and upper limit: the usable cores; never more
     than there are blocks).  Neither changes the result.
     """
@@ -174,7 +179,7 @@ def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
     if not 1 <= k <= n - 1:
         raise KnnError(f"k must be in [1, {n - 1}], got {k}")
     if chunk is None:
-        chunk = max(1, _BLOCK_DOUBLES // n)
+        chunk = block_rows(n)
     if chunk < 1:
         raise KnnError(f"chunk must be positive, got {chunk}")
     columns = np.ascontiguousarray(dataset.values.T)

@@ -707,7 +707,7 @@ class TestBlockedCalibration:
                             (want_graph.edges_i, want_graph.edges_j, want_graph.weights)):
                 self.same(a, b)
             assert graph.provenance == want_graph.provenance
-            self.check_calibration(calibrate(data, k, threads=2), want_cal)
+            self.check_calibration(calibrate(data, k), want_cal)
             assert blocks == [n_blocks] * (len(thread_counts) + 2)
 
     def test_workers_capped_by_threads_cores_and_blocks(self, blobs, monkeypatch):
@@ -733,12 +733,12 @@ class TestBlockedCalibration:
         monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 1 << 16)  # one block
         build_umap_graph(data, 10, neighbors=nbrs, threads=None)
         assert started == [1, 3, 2, 1]
-        # the calibration functions cap their kNN pass and calibration alike
+        # the calibration functions run their kNN pass and calibration on the usable cores
         monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 1)
         started.clear()
-        umap_calibration(data, 10, threads=2)
-        tsne_calibration(data, 3.0, threads=10 ** 9)
-        assert started == [2, 2, 3, 3]
+        umap_calibration(data, 10)
+        tsne_calibration(data, 3.0)
+        assert started == [3, 3, 3, 3]
 
     def test_sweep_and_estimate_forward_threads_to_every_build(self, blobs, monkeypatch):
         data, labels = blobs
