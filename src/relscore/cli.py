@@ -237,6 +237,10 @@ def _cmd_graph(args) -> int:
     out = _out_path(args.out)
     save_graph(graph, out)
     _write_manifest(out, "graph", args, inputs, started)
+    stuck = graph.provenance.options["non_converged"]
+    if stuck:
+        print(f"graph: bandwidth calibration did not converge for {stuck} of "
+              f"{graph.n_vertices} vertices", file=sys.stderr)
     return 0
 
 

@@ -53,7 +53,8 @@ MAX_BISECTIONS = 200
 _SIGMA_LOG10_MIN = -20.0
 _SIGMA_LOG10_MAX = 20.0
 _LN2 = math.log(2.0)
-_EDGE_SLICE = 1 << 15  # edges encoded per json.dumps call in save_graph
+_EDGE_SLICE = 1 << 15  # edges encoded per write in save_graph
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,10 @@ class GraphProvenance:
 
 
 def _float_values(values) -> np.ndarray:
-    """`values` as a flat float array; an integer past the double range reads as inf."""
+    """`values` as a flat float array, not copied if it is one; an integer past
+    the double range reads as inf."""
     try:
-        return np.array(values, dtype=float).reshape(-1)
+        return np.asarray(values, dtype=float).reshape(-1)
     except OverflowError:  # via str, as float("1e400") is inf
         return np.array(list(map(str, np.asarray(values, dtype=object).flat)), dtype=float)
 
@@ -107,7 +109,9 @@ class RelationshipGraph:
 
     Edges are int64/int64/float64 arrays with i < j, sorted lexicographically
     by a scipy CSR placement sized by the largest endpoints, not by n_vertices;
-    the constructor validates them, naming the first bad input edge.
+    the constructor validates them, naming the first bad input edge.  Input
+    arrays that are already int64/float64 are read without a copy; the
+    stored arrays are always new.
     """
 
     n_vertices: int
@@ -123,6 +127,8 @@ class RelationshipGraph:
         n = int(raw)
         if n < 1:
             raise GraphError(f"n_vertices must be positive, got {n}")
+        if n > _INT64_MAX:
+            raise GraphError(f"n_vertices must be at most {_INT64_MAX}, got {n}")
         ri, not_int_i = integer_values(np.reshape(self.edges_i, -1))
         rj, not_int_j = integer_values(np.reshape(self.edges_j, -1))
         w = _float_values(self.weights)
@@ -131,7 +137,7 @@ class RelationshipGraph:
         ok = not (not_int_i.any() or not_int_j.any()) and (
             not ri.size or (min(ri.min(), rj.min()) >= 0 and max(ri.max(), rj.max()) < n))
         if ok:
-            ei, ej = ri.astype(np.int64), rj.astype(np.int64)
+            ei, ej = np.asarray(ri, dtype=np.int64), np.asarray(rj, dtype=np.int64)
             ok = not np.any(ei >= ej) and (np.isfinite(w) & (w > 0)).all()
         if ok:
             shape = (ei.max(initial=-1) + 1, ej.max(initial=-1) + 1)
@@ -365,44 +371,63 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
         raise GraphError(f"prune_eps must be nonnegative, got {prune_eps}")
     nbrs = _neighbor_lists(dataset, count, neighbors, threads)
     cal, p = _tsne_parts(nbrs, perplexity, threads)
-    ei, ej, first, second = _pair_groups(n, nbrs.indices, p)
-    w = (first + second) / (2.0 * n)
-    keep = w > prune_eps
+
+    def weight(first, second):  # (p_{j|i} + p_{i|j}) / (2N), in place
+        first += second
+        first /= 2.0 * n
+        return first
+
+    edges = _pair_edges(n, nbrs.indices, p, weight, prune_eps)
+    del nbrs, p  # freed before the graph copies the edges
     provenance = GraphProvenance(
         "tsne",
         float(perplexity),
         {
             "prune_eps": prune_eps,
-            "candidates": int(nbrs.k),
+            "candidates": count,
             "non_converged": int(np.count_nonzero(~cal.converged)),
         },
     )
-    return RelationshipGraph(n, ei[keep], ej[keep], w[keep], provenance)
+    return RelationshipGraph(n, *edges, provenance)
 
 
-def _pair_groups(n, neighbor_indices, values):
-    """Group directed (source, neighbor, value) records by unordered pair.
+def _pair_edges(n, neighbor_indices, values, combine, floor):
+    """Edges of the unordered pairs in directed (source, neighbor, value) records.
 
-    Returns (i, j, first, second) with i < j; `second` is 0 where only one
-    direction exists.  The direction from the smaller vertex id comes
-    first, which pins the grouping order bit-for-bit.
+    Row i of the (n, k) `neighbor_indices` and `values` holds vertex i's
+    records, with no repeated neighbor.  Returns int64 i < j and float64
+    w, in (i, j) order: w = combine(first, second) of a pair's two
+    values, second 0 where only one direction exists, and pairs with
+    w <= floor are dropped.  Which direction comes first is not pinned,
+    so `combine` must be symmetric; it may overwrite its arguments.  One
+    unstable sort of min*n + max keys groups the records; about three
+    record-sized temporaries are live at the peak.
     """
-    k = neighbor_indices.shape[1]
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
-    dst = neighbor_indices.reshape(-1).astype(np.int64)
-    val = values.reshape(-1)
-    a = np.minimum(src, dst)
-    b = np.maximum(src, dst)
-    key = a * n + b
-    order = np.argsort(key, kind="stable")
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    key = np.minimum(neighbor_indices, rows)
+    key *= n - 1
+    key += neighbor_indices
+    key += rows  # min*n + max, as min + max = i + j
+    key = key.reshape(-1)
+    order = np.argsort(key)
     key = key[order]
-    val = val[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    counts = np.diff(np.r_[starts, key.size])
-    first = val[starts]
-    idx2 = np.minimum(starts + 1, key.size - 1)
-    second = np.where(counts == 2, val[idx2], 0.0)
-    return key[starts] // n, key[starts] % n, first, second
+    vals = values.reshape(-1)[order]
+    del order
+    new = np.empty(key.size + 1, dtype=bool)  # new[r]: record r starts a pair
+    new[0] = new[-1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:-1])
+    starts = new[:-1]
+    key, first = key[starts], vals[starts]
+    second = np.zeros(first.size)
+    second[~new[1:][starts]] = vals[~starts]  # a pair's second record follows its first
+    del vals, new, starts
+    w = combine(first, second)
+    del first, second
+    keep = w > floor
+    if not keep.all():
+        key, w = key[keep], w[keep]
+    i, j = np.divmod(key, n)
+    return i, j, w
 
 
 def fuzzy_union(w_a: float, w_b: float):
@@ -412,7 +437,9 @@ def fuzzy_union(w_a: float, w_b: float):
     """
     hi = np.maximum(w_a, w_b)
     lo = np.minimum(w_a, w_b)
-    return hi + lo * (1.0 - hi)
+    lo *= 1.0 - hi
+    hi += lo
+    return hi
 
 
 def _umap_rows(distances: np.ndarray):
@@ -473,36 +500,38 @@ def build_umap_graph(dataset: Dataset, n_neighbors: int, *,
     count = neighbor_count("umap", n, n_neighbors)
     nbrs = _neighbor_lists(dataset, count, neighbors, threads)
     cal, memberships = _umap_parts(nbrs, threads)
-    i, j, first, second = _pair_groups(n, nbrs.indices, memberships)
-    w = fuzzy_union(first, second)
-    keep = w > 0.0
+    edges = _pair_edges(n, nbrs.indices, memberships, fuzzy_union, 0.0)
+    del nbrs, memberships  # freed before the graph copies the edges
     provenance = GraphProvenance(
         "umap",
         int(n_neighbors),
         {"non_converged": int(np.count_nonzero(~cal.converged))},
     )
-    return RelationshipGraph(n, i[keep], j[keep], w[keep], provenance)
+    return RelationshipGraph(n, *edges, provenance)
 
 
 def save_graph(graph: RelationshipGraph, path) -> None:
     """Write `{"n", "method", "param", "edges"}` JSON, edges sorted, full precision.
 
     The bytes are those of `json.dumps` of that document (plus
-    "options" when there are any) and a newline; the edges are encoded
-    a slice at a time, so no list of every edge is ever built.
+    "options" when there are any) and a newline.  The edges are encoded
+    a slice at a time, straight from the columns: json writes ints with
+    `int.__repr__` and finite floats with `float.__repr__`, as
+    `"[{}, {}, {!r}]".format` does.
     """
     prov = graph.provenance
     ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
+    edge = "[{}, {}, {!r}]".format
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"n": {json.dumps(graph.n_vertices)}, '
                  f'"method": {json.dumps(prov.method)}, '
                  f'"param": {json.dumps(prov.param)}, "edges": [')
         for start in range(0, graph.n_edges, _EDGE_SLICE):
             part = slice(start, start + _EDGE_SLICE)
-            rows = zip(ei[part].tolist(), ej[part].tolist(), w[part].tolist())
             if start:
                 fh.write(", ")
-            fh.write(json.dumps(list(map(list, rows)))[1:-1])
+            fh.write(", ".join(map(edge, ei[part].tolist(), ej[part].tolist(),
+                                   w[part].tolist())))
         fh.write("]")
         if prov.options:
             fh.write(f', "options": {json.dumps(prov.options)}')

@@ -5,6 +5,7 @@ import pytest
 
 from relscore import datasets, knn
 from relscore.cli import build_parser, main
+from relscore.graphs import build_graph, save_graph
 from relscore.knn import usable_cores
 
 
@@ -152,13 +153,24 @@ class TestGraphScore:
                                                            capsys):
         gpath = tmp_path / "g.json"
         gpath.write_text(json.dumps({
+            "n": 2 ** 63 - 1, "method": "external", "edges": [[0, 1, 0.5], [2, 5, 1.0]],
+        }))
+        code = run("score", "--graph", str(gpath), "--data", str(blobs_csv),
+                   "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: graph has {2 ** 63 - 1} vertices but dataset has 150 rows\n")
+
+    def test_vertex_count_past_int64_is_an_input_error(self, blobs_csv, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({
             "n": 10 ** 30, "method": "external", "edges": [[0, 1, 0.5], [2, 5, 1.0]],
         }))
         code = run("score", "--graph", str(gpath), "--data", str(blobs_csv),
                    "--out", str(tmp_path / "r.json"))
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: graph has {10 ** 30} vertices but dataset has 150 rows\n")
+            f"error: {gpath}: n_vertices must be at most {2 ** 63 - 1}, got {10 ** 30}\n")
 
     def test_integer_weight_past_double_range_is_an_input_error(self, blobs_csv, tmp_path,
                                                                  capsys):
@@ -183,6 +195,31 @@ class TestGraphScore:
         rep = json.loads(rpath.read_text())
         assert list(rep["labels"]) == ["all"]
         assert rep["global"]["precision"] == 1.0
+
+    @pytest.mark.parametrize("method, flag, k", [("tsne", "--perplexity", "5"),
+                                                 ("umap", "--n-neighbors", "5")])
+    def test_non_converged_vertices_warned_on_stderr(self, tmp_path, capsys, method,
+                                                     flag, k):
+        small = tmp_path / "small.csv"
+        assert run("synth", "--centers", "0,0;4,0;0,4", "--count", "20", "--seed", "3",
+                   "--out", str(small)) == 0
+        data, labels = datasets.load_dataset(small)
+        assert data.n == 60
+        huge = tmp_path / "huge.csv"
+        datasets.save_dataset(datasets.Dataset(data.values * 1e30), labels, huge)
+        for path, stuck in ((small, 0), (huge, 60)):
+            gpath = tmp_path / f"{path.stem}.json"
+            capsys.readouterr()
+            assert run("graph", "--data", str(path), "--method", method, flag, k,
+                       "--out", str(gpath)) == 0
+            assert capsys.readouterr().err == (
+                f"graph: bandwidth calibration did not converge for {stuck} of 60 "
+                "vertices\n" if stuck else "")
+            graph = build_graph(method, datasets.load_dataset(path)[0], float(k)
+                                if method == "tsne" else int(k))
+            assert graph.provenance.options["non_converged"] == stuck
+            save_graph(graph, tmp_path / "library.json")
+            assert gpath.read_bytes() == (tmp_path / "library.json").read_bytes()
 
 
 class TestSweep:

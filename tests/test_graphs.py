@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,23 @@ class TestGraphType:
         with pytest.raises(GraphError, match="n_vertices must be positive, got 0"):
             RelationshipGraph(0.0, [], [], [], GraphProvenance("external"))
 
+    @pytest.mark.parametrize("n", [2 ** 63, 10 ** 30, np.uint64(2 ** 63), float(2 ** 64)])
+    def test_rejects_vertex_count_past_int64(self, n):
+        with pytest.raises(GraphError) as exc:
+            RelationshipGraph(n, [0], [1], [1.0], GraphProvenance("external"))
+        assert str(exc.value) == f"n_vertices must be at most {2 ** 63 - 1}, got {int(n)}"
+        graph = RelationshipGraph(2 ** 63 - 1, [0], [1], [1.0], GraphProvenance("external"))
+        assert graph.n_vertices == 2 ** 63 - 1
+
+    def test_stored_arrays_never_alias_the_input(self):
+        ei, ej, w = np.array([0, 1]), np.array([2, 2]), np.array([0.5, 1.5])
+        graph = RelationshipGraph(3, ei, ej, w, GraphProvenance("external"))
+        for stored, given in zip((graph.edges_i, graph.edges_j, graph.weights), (ei, ej, w)):
+            assert not np.shares_memory(stored, given) and not stored.flags.writeable
+            assert given.flags.writeable
+        ei[0], w[0] = 1, 9.0
+        assert graph.edges_i.tolist() == [0, 1] and graph.weights.tolist() == [0.5, 1.5]
+
     def test_sorts_edges(self):
         graph = RelationshipGraph(4, [2, 0], [3, 1], [0.1, 0.2],
                                   GraphProvenance("external"))
@@ -411,11 +429,19 @@ class TestPersistence:
 
     def test_vertex_count_far_above_the_endpoints_loads(self, tmp_path):
         path = self.write(tmp_path, json.dumps({
-            "n": 10 ** 30, "method": "external", "edges": [[2, 5, 1.0], [0, 1, 0.5]]}))
+            "n": 2 ** 63 - 1, "method": "external", "edges": [[2, 5, 1.0], [0, 1, 0.5]]}))
         graph = load_graph(path)
-        assert graph.n_vertices == 10 ** 30
+        assert graph.n_vertices == 2 ** 63 - 1
         assert (graph.edges_i.tolist(), graph.edges_j.tolist()) == ([0, 2], [1, 5])
         assert graph.weights.tolist() == [0.5, 1.0]
+
+    @pytest.mark.parametrize("n", [2 ** 63, 10 ** 30])
+    def test_vertex_count_past_int64_rejected(self, tmp_path, n):
+        path = self.write(tmp_path, json.dumps({
+            "n": n, "method": "external", "edges": [[0, 1, 0.5]]}))
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"{path}: n_vertices must be at most {2 ** 63 - 1}, got {n}"
 
     def test_external_file_scores(self, tmp_path):
         path = tmp_path / "ext.json"
@@ -487,6 +513,21 @@ class TestGraphWriter:
             assert graph.n_edges > 7
             save_graph(graph, tmp_path / "g.json")
             assert (tmp_path / "g.json").read_bytes() == reference_bytes(graph)
+
+    @pytest.mark.parametrize("weights", [[], [5e-324], [1.0, 1e16, 5e-324]],
+                             ids=["no-edges", "subnormal", "repr-forms"])
+    @pytest.mark.parametrize("options", [{}, {"prune_eps": 1e-16, "candidates": 6}],
+                             ids=["no-options", "options"])
+    def test_file_is_json_dumps_of_the_document(self, tmp_path, weights, options):
+        pairs = [(0, 1), (0, 3), (2, 3)][:len(weights)]
+        graph = RelationshipGraph(4, [i for i, _ in pairs], [j for _, j in pairs], weights,
+                                  GraphProvenance("tsne", 2.5, options))
+        doc = {"n": 4, "method": "tsne", "param": 2.5,
+               "edges": [[i, j, w] for (i, j), w in zip(pairs, weights)]}
+        if options:
+            doc["options"] = options
+        save_graph(graph, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == (json.dumps(doc) + "\n").encode()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(graphs(), st.integers(1, 5))
@@ -590,6 +631,165 @@ class TestCsrMatchesLexsort:
             with pytest.raises(GraphError) as exc:
                 RelationshipGraph(n, ei, ej, w, GraphProvenance("external"))
             assert str(exc.value) == duplicate
+
+
+def stable_pair_groups(n, neighbor_indices, values):
+    """The pair grouping the builders once used: a stable argsort of min*n + max
+    keys, the smaller vertex's direction first, (i, j, first, second)."""
+    k = neighbor_indices.shape[1]
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    dst = neighbor_indices.reshape(-1).astype(np.int64)
+    key = np.minimum(src, dst) * n + np.maximum(src, dst)
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], values.reshape(-1)[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    counts = np.diff(np.r_[starts, key.size])
+    second = np.where(counts == 2, val[np.minimum(starts + 1, key.size - 1)], 0.0)
+    return key[starts] // n, key[starts] % n, val[starts], second
+
+
+def stable_edges(n, neighbor_indices, values, method, floor):
+    """The (i, j, w) the builders once handed to the constructor."""
+    ei, ej, first, second = stable_pair_groups(n, neighbor_indices, values)
+    if method == "tsne":
+        w = (first + second) / (2.0 * n)
+    else:  # the probabilistic OR as fuzzy_union once wrote it
+        hi, lo = np.maximum(first, second), np.minimum(first, second)
+        w = hi + lo * (1.0 - hi)
+    keep = w > floor
+    return ei[keep], ej[keep], w[keep]
+
+
+def tsne_weight(n):
+    def weight(first, second):
+        first += second
+        first /= 2.0 * n
+        return first
+    return weight
+
+
+def same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+MEMBERSHIPS = st.one_of(st.sampled_from([0.0, 5e-324, 0.25, 0.5, 1.0]),
+                        st.floats(0.0, 1.0))
+
+
+@st.composite
+def directed_records(draw):
+    """(n, neighbor ids, values): k distinct non-self neighbors per vertex, in any
+    order, so pairs are mutual or one-sided; values repeat and hit 0 and 1."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, n - 1))
+    rows = [draw(st.permutations([j for j in range(n) if j != i]))[:k] for i in range(n)]
+    values = [[draw(MEMBERSHIPS) for _ in range(k)] for _ in range(n)]
+    return n, np.array(rows, dtype=np.int64), np.array(values)
+
+
+@st.composite
+def grid_datasets(draw):
+    """3..12 points on a small integer grid: duplicate points and distance ties."""
+    n = draw(st.integers(3, 12))
+    dim = draw(st.integers(1, 2))
+    side = st.integers(0, draw(st.integers(0, 3)))
+    return Dataset(np.array([[draw(side) for _ in range(dim)] for _ in range(n)], dtype=float))
+
+
+class TestAssemblyMatchesStableGrouping:
+    """Graph assembly against the stable-argsort grouping it replaced."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(directed_records(), st.sampled_from(["tsne", "umap"]), st.data())
+    def test_pair_edges(self, records, method, data):
+        n, ids, values = records
+        combine = tsne_weight(n) if method == "tsne" else fuzzy_union
+        floor = 0.0
+        if method == "tsne":  # sometimes prune at a weight that is present
+            weights = stable_edges(n, ids, values, method, 0.0)[2]
+            if weights.size and data.draw(st.booleans()):
+                floor = float(data.draw(st.sampled_from(weights.tolist())))
+        want = stable_edges(n, ids, values, method, floor)
+        got = graphs_module._pair_edges(n, ids, values.copy(), combine, floor)
+        same_arrays(got, want)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_prefix_of_knn_lists(self, blobs, k):
+        data, _ = blobs
+        nbrs = exact_knn(data, 5).prefix(k)
+        values = np.random.Generator(np.random.PCG64(k)).random((data.n, k))
+        for method, combine in (("tsne", tsne_weight(data.n)), ("umap", fuzzy_union)):
+            want = stable_edges(data.n, nbrs.indices, values, method, 0.0)
+            same_arrays(graphs_module._pair_edges(data.n, nbrs.indices, values.copy(),
+                                                  combine, 0.0), want)
+
+    @staticmethod
+    def built(method, data, k, prune_eps, nbrs):
+        """The edges the builder hands to the constructor, and the graph."""
+        inputs = []
+
+        def recording(n, ei, ej, w, provenance):
+            inputs.append((ei, ej, w))
+            return RelationshipGraph(n, ei, ej, w, provenance)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs_module, "RelationshipGraph", recording)
+            graph = graphs_module.build_graph(method, data, k, prune_eps, neighbors=nbrs)
+        return inputs[0], graph
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(grid_datasets(), st.data())
+    def test_builders(self, data, draw):
+        n = data.n
+        nbrs = exact_knn(data, n - 1)
+        perplexity = draw.draw(st.floats(2.0, n - 1.0))
+        sub = nbrs.prefix(graphs_module.neighbor_count("tsne", n, perplexity))
+        p = graphs_module._tsne_parts(sub, perplexity, None)[1]
+        weights = stable_edges(n, sub.indices, p, "tsne", 0.0)[2]
+        for eps in (None, 0.0, *weights.tolist()[:1], *np.unique(weights).tolist()[-1:]):
+            want = stable_edges(n, sub.indices, p, "tsne",
+                                default_prune_eps(n) if eps is None else eps)
+            got, graph = self.built("tsne", data, perplexity, eps, nbrs)
+            same_arrays(got, want)
+            same_arrays((graph.edges_i, graph.edges_j, graph.weights), want)
+        k = draw.draw(st.integers(2, n - 1))
+        sub = nbrs.prefix(k)
+        want = stable_edges(n, sub.indices, graphs_module._umap_parts(sub, None)[1],
+                            "umap", 0.0)
+        got, graph = self.built("umap", data, k, None, nbrs)
+        same_arrays(got, want)
+        same_arrays((graph.edges_i, graph.edges_j, graph.weights), want)
+
+    @pytest.mark.parametrize("method, k", [("tsne", 5.0), ("tsne", 30.0), ("umap", 15)])
+    def test_builders_on_blobs(self, blobs, method, k):
+        data, _ = blobs
+        nbrs = exact_knn(data, graphs_module.neighbor_count(method, data.n, k))
+        parts = (graphs_module._tsne_parts(nbrs, k, None) if method == "tsne"
+                 else graphs_module._umap_parts(nbrs, None))
+        floor = default_prune_eps(data.n) if method == "tsne" else 0.0
+        want = stable_edges(data.n, nbrs.indices, parts[1], method, floor)
+        got, _ = self.built(method, data, k, None, nbrs)
+        same_arrays(got, want)
+
+
+class TestAssemblyMemory:
+    """Builders set the traced peak through a few record-sized arrays, not a dozen."""
+
+    @pytest.mark.parametrize("build, k", [(build_tsne_graph, 10.0), (build_umap_graph, 30)])
+    def test_peak_traced_bytes(self, build, k):
+        data = Dataset(np.random.Generator(np.random.PCG64(5)).random((1500, 5)))
+        nbrs = exact_knn(data, 30)  # the candidate count at either k: no prefix copy
+        build(data, k, neighbors=nbrs)  # warm-up: first-call allocations are not traced
+        tracemalloc.start()
+        try:
+            build(data, k, neighbors=nbrs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 5.6 (t-SNE) and 4.7 (UMAP) records' worth; a dozen before
+        assert peak < 7 * data.n * nbrs.k * 8
 
 
 def unblocked_tsne_parts(nbrs, perplexity):
