@@ -508,14 +508,8 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DatasetError, GraphError, KnnError, MetricsError, OptimizerError,
-            OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, DatasetError, GraphError, KnnError, MetricsError,
+            OptimizerError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

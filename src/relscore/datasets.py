@@ -36,29 +36,29 @@ class DatasetError(ValueError):
 def integer_values(values) -> tuple[np.ndarray, np.ndarray]:
     """`values` as an array, with the mask of its entries that are not integers.
 
-    Integer and boolean arrays come back as they are.  A float array is
-    cast to float and its fractional or non-finite entries are flagged.
-    An object array is never cast, so Python ints too large for int64
-    stay exact; its entries that are neither integers nor integral
-    floats are flagged.  Entries of any other dtype are all flagged.
+    Integer arrays come back as they are.  A float array is cast to float
+    and its fractional or non-finite entries are flagged.  An object array
+    is never cast, so Python ints too large for int64 stay exact; its
+    entries that are neither integers nor integral floats are flagged, and
+    booleans are not integers.  Entries of any other dtype are all flagged.
     """
     raw = np.asarray(values)
-    if raw.dtype.kind in "biu":
+    if raw.dtype.kind in "iu":
         return raw, np.zeros(raw.shape, dtype=bool)
     if raw.dtype.kind == "f":
         real = raw.astype(float)
         return real, ~np.isfinite(real) | (real != np.trunc(real))
     if raw.dtype.kind == "O":
-        exact = [isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
-                 for v in raw.flat]
+        exact = [isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                 or isinstance(v, float) and v.is_integer() for v in raw.flat]
         return raw, ~np.array(exact, dtype=bool).reshape(raw.shape)
     return raw, np.ones(raw.shape, dtype=bool)
 
 
 def _whole(value, low: int, what: str) -> int:
-    """Scalar integer `value` of at least `low`, booleans excluded; else a DatasetError."""
+    """Scalar integer `value` of at least `low`; else a DatasetError."""
     raw, not_int = integer_values(value)
-    if raw.ndim or raw.dtype.kind == "b" or not_int.any() or raw < low:
+    if raw.ndim or not_int.any() or raw < low:
         raise DatasetError(f"{what}, got {value!r}")
     return int(raw)
 

@@ -82,36 +82,17 @@ def _float_values(values) -> np.ndarray:
         return np.array(list(map(str, np.asarray(values, dtype=object).flat)), dtype=float)
 
 
-def _edge_fault(n, ei, ej, not_int_i, not_int_j, w) -> str:
-    """`edges[idx]: reason` for the first input edge that breaks a rule and
-    the first rule it breaks; of a duplicate pair, the later copy breaks it."""
-    not_int = not_int_i | not_int_j
-    outside = (ei < 0) | (ei >= n) | (ej < 0) | (ej >= n)
-    at = np.flatnonzero(~(not_int | outside))
-    si, sj = ei[at].astype(np.int64), ej[at].astype(np.int64)
-    order = np.lexsort((sj, si))
-    dup = np.zeros(ei.size, dtype=bool)
-    dup[at[order[1:]][(np.diff(si[order]) == 0) & (np.diff(sj[order]) == 0)]] = True
-    broken = np.array([not_int, ei == ej, ei > ej, outside, dup, ~(np.isfinite(w) & (w > 0))])
-    idx = int(np.argmax(broken.any(axis=0)))
-    rule = int(np.argmax(broken[:, idx]))  # indexes the reasons below, in rule order
-    i, j = (ei[idx], ej[idx]) if rule == 0 else (int(ei[idx]), int(ej[idx]))
-    return f"edges[{idx}]: " + (
-        f"edge endpoint {i if not_int_i[idx] else j} is not an integer",
-        f"self-loop ({i},{j})", f"endpoints must satisfy i < j, got ({i},{j})",
-        f"endpoint outside 0..{n - 1}", f"duplicate edge ({i},{j})",
-        f"weight must be positive and finite, got {float(w[idx])}")[rule]
-
-
 @dataclass(frozen=True)
 class RelationshipGraph:
     """Simple undirected graph with positive weights, one record per pair.
 
-    Edges are int64/int64/float64 arrays with i < j, sorted lexicographically
-    by a scipy CSR placement sized by the largest endpoints, not by n_vertices;
-    the constructor validates them, naming the first bad input edge.  Input
-    arrays that are already int64/float64 are read without a copy; the
-    stored arrays are always new.
+    Edges are int64/int64/float64 arrays with i < j, sorted lexicographically.
+    The constructor checks each rule once per edge and names the first bad
+    input edge by the first rule it breaks; of a duplicate pair, the later
+    copy breaks it.  The order is checked in one pass and only an
+    out-of-order list is sorted, so memory grows with the edge count, not
+    with the endpoint ids.  Input arrays that are already int64/float64 are
+    read without a copy; the stored arrays are always new.
     """
 
     n_vertices: int
@@ -122,7 +103,7 @@ class RelationshipGraph:
 
     def __post_init__(self):
         raw, not_int = integer_values(self.n_vertices)
-        if raw.ndim or raw.dtype.kind == "b" or not_int.any():
+        if raw.ndim or not_int.any():
             raise GraphError(f"n_vertices must be an integer, got {self.n_vertices!r}")
         n = int(raw)
         if n < 1:
@@ -130,22 +111,42 @@ class RelationshipGraph:
         if n > _INT64_MAX:
             raise GraphError(f"n_vertices must be at most {_INT64_MAX}, got {n}")
         ri, not_int_i = integer_values(np.reshape(self.edges_i, -1))
-        rj, not_int_j = integer_values(np.reshape(self.edges_j, -1))
+        rj, not_int = integer_values(np.reshape(self.edges_j, -1))
         w = _float_values(self.weights)
         if not (ri.size == rj.size == w.size):
             raise GraphError("edge arrays must have equal length")
-        ok = not (not_int_i.any() or not_int_j.any()) and (
-            not ri.size or (min(ri.min(), rj.min()) >= 0 and max(ri.max(), rj.max()) < n))
-        if ok:
-            ei, ej = np.asarray(ri, dtype=np.int64), np.asarray(rj, dtype=np.int64)
-            ok = not np.any(ei >= ej) and (np.isfinite(w) & (w > 0)).all()
-        if ok:
-            shape = (ei.max(initial=-1) + 1, ej.max(initial=-1) + 1)
-            upper = csr_array((w, (ei, ej)), shape=shape)
-        if not ok or upper.nnz < w.size:  # the CSR merges a duplicate pair into one entry
-            raise GraphError(_edge_fault(n, ri, rj, not_int_i, not_int_j, w))
-        ei = np.repeat(np.arange(upper.shape[0], dtype=np.int64), np.diff(upper.indptr))
-        ej, w = upper.indices.astype(np.int64), upper.data
+        not_int |= not_int_i
+        bad_weight = ~(np.isfinite(w) & (w > 0))
+        # an endpoint that is not an integer reads as 0, as its rule ranks first
+        ci, cj = (np.where(not_int, 0, r if r.dtype.kind in "iufO" else 0)
+                  if not_int.any() else r for r in (ri, rj))
+        outside = (ci < 0) | (ci >= n) | (cj < 0) | (cj >= n)
+        # an edge outside stands in as (0, 0): a self-loop, which ranks before a duplicate
+        ei = np.where(outside, 0, ci).astype(np.int64, copy=False)
+        ej = np.where(outside, 0, cj).astype(np.int64, copy=False)
+        duplicate = np.zeros(w.size, dtype=bool)
+        order = None
+        # one linear pass: each edge strictly after the one before means sorted, no duplicate
+        if not ((ei[1:] > ei[:-1]) | (ei[1:] == ei[:-1]) & (ej[1:] > ej[:-1])).all():
+            order = np.lexsort((ej, ei))  # stable: a pair's copies keep input order
+            ei, ej = ei[order], ej[order]
+            duplicate[order[1:][(ei[1:] == ei[:-1]) & (ej[1:] == ej[:-1])]] = True
+        # one mask per rule, in the order the messages rank them
+        broken = (not_int, ci == cj, ci > cj, outside, duplicate, bad_weight)
+        bad = broken[0].copy()
+        for mask in broken[1:]:
+            bad |= mask
+        if bad.any():
+            t = int(np.argmax(bad))
+            rule = next(r for r, mask in enumerate(broken) if mask[t])
+            i, j = (ri[t], rj[t]) if rule == 0 else (int(ri[t]), int(rj[t]))
+            raise GraphError(f"edges[{t}]: " + (
+                f"edge endpoint {i if not_int_i[t] else j} is not an integer",
+                f"self-loop ({i},{j})", f"endpoints must satisfy i < j, got ({i},{j})",
+                f"endpoint outside 0..{n - 1}", f"duplicate edge ({i},{j})",
+                f"weight must be positive and finite, got {float(w[t])}")[rule])
+        del broken, bad, not_int, not_int_i, outside, duplicate, bad_weight  # freed before w is copied
+        w = w.copy() if order is None else w[order]
         for arr in (ei, ej, w):
             arr.setflags(write=False)
         object.__setattr__(self, "n_vertices", n)
@@ -270,7 +271,6 @@ def build_graph(method: str, dataset: Dataset, k, prune_eps: float | None = None
 def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | None,
                     threads: int | None) -> NeighborLists:
     """The count nearest per vertex: a fresh kNN pass, or a prefix of `neighbors`."""
-    check_threads(threads)  # validated even when no pass runs
     if neighbors is None:
         return exact_knn(dataset, count, threads=threads)
     if neighbors.n != dataset.n or neighbors.k < count:

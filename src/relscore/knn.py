@@ -165,23 +165,19 @@ def _smallest_stable(d2: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cols, order, axis=1)
 
 
-def exact_knn(dataset: Dataset, k: int, chunk: int | None = None, *,
-              threads: int | None = None) -> NeighborLists:
+def exact_knn(dataset: Dataset, k: int, *, threads: int | None = None) -> NeighborLists:
     """The k nearest other vertices per vertex, ties broken by smaller id.
 
-    `chunk` overrides the number of rows per distance block (default
-    `block_rows(N)`).  `threads` caps the worker threads of
-    `run_blocks` (default and upper limit: the usable cores; never more
-    than there are blocks).  Neither changes the result.
+    Distances are computed `block_rows(N)` rows at a time.  `threads`
+    caps the worker threads of `run_blocks` (default and upper limit:
+    the usable cores; never more than there are blocks); it never
+    changes the result.
     """
     n = dataset.n
     k = int(k)
     if not 1 <= k <= n - 1:
         raise KnnError(f"k must be in [1, {n - 1}], got {k}")
-    if chunk is None:
-        chunk = block_rows(n)
-    if chunk < 1:
-        raise KnnError(f"chunk must be positive, got {chunk}")
+    chunk = block_rows(n)
     columns = np.ascontiguousarray(dataset.values.T)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))

@@ -161,6 +161,20 @@ class TestGraphScore:
         assert capsys.readouterr().err == (
             f"error: graph has {2 ** 63 - 1} vertices but dataset has 150 rows\n")
 
+    def test_endpoint_ids_near_two_to_the_62_are_read(self, tmp_path, capsys):
+        n = 2 ** 62
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({
+            "n": n, "method": "external", "edges": [[n - 2, n - 1, 1.0]],
+        }))
+        data = tmp_path / "three.csv"
+        data.write_text("x0,label\n0.0,a\n1.0,b\n2.0,a\n")
+        code = run("score", "--graph", str(gpath), "--data", str(data),
+                   "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: graph has {n} vertices but dataset has 3 rows\n")
+
     def test_vertex_count_past_int64_is_an_input_error(self, blobs_csv, tmp_path, capsys):
         gpath = tmp_path / "g.json"
         gpath.write_text(json.dumps({

@@ -272,6 +272,20 @@ class TestDatasetInvariants:
             Dataset(np.array([[0.0], [1.0]]), ids=ids)
         assert str(exc.value) == f"row id {shown} is not an integer"
 
+    @pytest.mark.parametrize("ids, shown", [
+        (np.array([False, True, False]), "False"),
+        (np.array([0, True, 0], dtype=object), "True"),
+    ], ids=["boolean", "boolean-object"])
+    def test_boolean_label_ids_rejected(self, ids, shown):
+        with pytest.raises(DatasetError) as exc:
+            LabelAssignment(ids, ("a", "b"))
+        assert str(exc.value) == f"label id {shown} is not an integer"
+
+    def test_boolean_row_ids_rejected(self):
+        with pytest.raises(DatasetError) as exc:
+            Dataset(np.array([[0.0], [1.0]]), ids=(True, False))
+        assert str(exc.value) == "row id True is not an integer"
+
     def test_integral_row_ids_kept(self):
         data = Dataset(np.array([[0.0], [1.0]]), ids=(1.0, 10 ** 30))
         assert data.ids == (1, 10 ** 30)

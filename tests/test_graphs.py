@@ -254,6 +254,39 @@ class TestGraphType:
             RelationshipGraph(4, edges_i, edges_j, weights, GraphProvenance("external"))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("as_array", [
+        lambda v: np.array(v, dtype=float),
+        lambda v: np.array(v, dtype=object),
+        lambda v: np.array(v, dtype=float).astype(object),
+    ], ids=["float", "object-ints", "object-floats"])
+    @pytest.mark.parametrize("edges_i, edges_j, weights, message", [
+        ([0, 0.5], [1, 2], [0.5, 0.5], "edges[1]: edge endpoint 0.5 is not an integer"),
+        ([0, 3], [1, 3], [0.5, 0.5], "edges[1]: self-loop (3,3)"),
+        ([0, 2], [1, 1], [0.5, 0.5], "edges[1]: endpoints must satisfy i < j, got (2,1)"),
+        ([0, 1], [1, 9], [0.5, 0.5], "edges[1]: endpoint outside 0..3"),
+        ([0, 2, 0], [1, 3, 1], [0.5, 0.5, 0.5], "edges[2]: duplicate edge (0,1)"),
+        ([0, 1], [1, 2], [0.5, -2.0], "edges[1]: weight must be positive and finite, got -2.0"),
+    ], ids=["not-integer", "self-loop", "order", "outside", "duplicate", "weight"])
+    def test_float_and_object_endpoints_name_each_rule(self, as_array, edges_i, edges_j,
+                                                       weights, message):
+        with pytest.raises(GraphError) as exc:
+            RelationshipGraph(4, as_array(edges_i), as_array(edges_j), weights,
+                              GraphProvenance("external"))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("edges_i, edges_j, message", [
+        (np.array([False]), np.array([True]), "edges[0]: edge endpoint False is not an integer"),
+        (np.array([0, 1], dtype=object), np.array([True, 2], dtype=object),
+         "edges[0]: edge endpoint True is not an integer"),
+        (np.array(["a"]), [1], "edges[0]: edge endpoint a is not an integer"),
+        ([0, None], [1, 2], "edges[1]: edge endpoint None is not an integer"),
+    ], ids=["boolean", "boolean-object", "text", "none"])
+    def test_rejects_endpoints_that_are_not_numbers(self, edges_i, edges_j, message):
+        with pytest.raises(GraphError) as exc:
+            RelationshipGraph(3, edges_i, edges_j, [1.0] * len(edges_j),
+                              GraphProvenance("external"))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", [4.5, float("nan"), float("inf"), True, np.float64(2.5),
                                    "4", [4]],
                              ids=["fractional", "nan", "inf", "boolean", "numpy-fractional",
@@ -293,6 +326,16 @@ class TestGraphType:
         assert graph.edges_i.tolist() == [0, 2]
         assert graph.weights.tolist() == [0.2, 0.1]
 
+    def test_shuffled_edges_store_the_sorted_bytes(self, small_random):
+        graph = build_tsne_graph(small_random, 5.0)
+        perm = np.random.Generator(np.random.PCG64(3)).permutation(graph.n_edges)
+        for order in (perm, np.arange(graph.n_edges)[::-1]):
+            shuffled = RelationshipGraph(graph.n_vertices, graph.edges_i[order],
+                                         graph.edges_j[order], graph.weights[order],
+                                         graph.provenance)
+            same_arrays((shuffled.edges_i, shuffled.edges_j, shuffled.weights),
+                        (graph.edges_i, graph.edges_j, graph.weights))
+
     def test_adjacency_ascending(self):
         graph = RelationshipGraph(4, [0, 0, 1], [3, 1, 2], [0.3, 0.1, 0.2],
                                   GraphProvenance("external"))
@@ -316,6 +359,17 @@ class TestPersistence:
             assert back.provenance.method == graph.provenance.method
             assert back.provenance.param == graph.provenance.param
             assert back.provenance.options == graph.provenance.options
+
+    def test_endpoint_ids_near_two_to_the_62(self, tmp_path):
+        # memory grows with the edge count, not with the endpoint ids
+        n = 2 ** 62
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": n, "method": "external",
+                                    "edges": [[n - 2, n - 1, 1.0]]}))
+        graph = load_graph(path)
+        assert graph.n_vertices == n
+        assert (graph.edges_i.tolist(), graph.edges_j.tolist()) == ([n - 2], [n - 1])
+        assert graph.weights.tolist() == [1.0]
 
     def test_self_loop_rejected_with_location(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -589,7 +643,8 @@ def edge_inputs(draw):
 
 
 class TestCsrMatchesLexsort:
-    """The CSR constructor and adjacency() against the lexsorts they replaced."""
+    """The constructor's order check and adjacency()'s CSR against the lexsorts
+    they replaced."""
 
     def check(self, n, ei, ej, w):
         graph = RelationshipGraph(n, ei, ej, w, GraphProvenance("external"))

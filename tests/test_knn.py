@@ -95,11 +95,13 @@ class TestExactKnn:
         assert np.array_equal(a.indices, b.indices)
         assert a.distances.tobytes() == b.distances.tobytes()
 
-    def test_chunking_agrees(self):
+    def test_chunking_agrees(self, monkeypatch):
         rng = np.random.Generator(np.random.PCG64(9))
         data = Dataset(rng.random((40, 3)))
-        a = exact_knn(data, 6, chunk=7)
-        b = exact_knn(data, 6, chunk=512)
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 7 * data.n)  # 7 rows per block
+        a = exact_knn(data, 6)
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 512 * data.n)
+        b = exact_knn(data, 6)
         assert np.array_equal(a.indices, b.indices)
         assert a.distances.tobytes() == b.distances.tobytes()
 
@@ -176,11 +178,13 @@ class TestAgainstOracle:
         with pytest.MonkeyPatch.context() as mp:
             # three usable cores: threads=2 runs two workers on any machine
             mp.setattr(knn_module, "usable_cores", lambda: 3)
+            blocks = (knn_module._BLOCK_DOUBLES, data.n, 4 * data.n)  # default, 1, 4 rows
             for k in range(1, data.n):
                 expected = brute_force_knn(data, k)
-                for chunk in (None, 1, 4):
+                for block in blocks:
+                    mp.setattr(knn_module, "_BLOCK_DOUBLES", block)
                     for threads in (1, 2):
-                        got = exact_knn(data, k, chunk=chunk, threads=threads)
+                        got = exact_knn(data, k, threads=threads)
                         assert got.indices.tobytes() == expected.indices.tobytes()
                         assert got.distances.tobytes() == expected.distances.tobytes()
 
@@ -207,13 +211,10 @@ class TestBlockBound:
         data = Dataset(rng.random((30, 2)))
         got = exact_knn(data, 5)
         assert max(seen) <= 64 * 8 and len(seen) == 15  # 2 rows per block
-        want = exact_knn(data, 5, chunk=30)
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 30 * data.n)  # one block
+        want = exact_knn(data, 5)
         assert got.indices.tobytes() == want.indices.tobytes()
         assert got.distances.tobytes() == want.distances.tobytes()
-
-    def test_rejects_nonpositive_chunk(self):
-        with pytest.raises(KnnError, match="chunk must be positive"):
-            exact_knn(Dataset(np.zeros((3, 1))), 1, chunk=0)
 
 
 class TestThreads:
@@ -226,7 +227,9 @@ class TestThreads:
         rng = np.random.Generator(np.random.PCG64(15))
         data = Dataset(rng.integers(-3, 4, size=(45, 2)).astype(float))
         want = exact_knn(data, 12, threads=1)
-        got = exact_knn(data, 12, chunk=chunk, threads=threads)
+        if chunk is not None:  # rows per block; None keeps the default
+            monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", chunk * data.n)
+        got = exact_knn(data, 12, threads=threads)
         assert got.indices.tobytes() == want.indices.tobytes()
         assert got.distances.tobytes() == want.distances.tobytes()
 
@@ -242,13 +245,17 @@ class TestThreads:
         monkeypatch.setattr(knn_module, "usable_cores", lambda: 3)
         rng = np.random.Generator(np.random.PCG64(16))
         data = Dataset(rng.random((30, 2)))
-        want = exact_knn(data, 5, chunk=1, threads=1)  # 30 blocks
+        default = knn_module._BLOCK_DOUBLES
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", data.n)  # 1 row per block
+        want = exact_knn(data, 5, threads=1)  # 30 blocks
         assert started == [1]
-        got = exact_knn(data, 5, chunk=1, threads=10**9)
+        got = exact_knn(data, 5, threads=10**9)
         assert started == [1, 3]
         assert got.indices.tobytes() == want.indices.tobytes()
-        exact_knn(data, 5, chunk=15, threads=3)  # 2 blocks
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 15 * data.n)
+        exact_knn(data, 5, threads=3)  # 2 blocks
         assert started == [1, 3, 2]
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", default)
         exact_knn(data, 5, threads=None)  # 1 block
         assert started == [1, 3, 2, 1]
 

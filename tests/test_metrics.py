@@ -91,6 +91,15 @@ class TestComponents:
             ComponentAssignment(ids)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("ids, shown", [
+        (np.array([False, True]), "False"),
+        (np.array([0, True], dtype=object), "True"),
+    ], ids=["boolean", "boolean-object"])
+    def test_boolean_component_ids_rejected(self, ids, shown):
+        with pytest.raises(MetricsError) as exc:
+            ComponentAssignment(ids)
+        assert str(exc.value) == f"component id {shown} is not an integer"
+
     def test_components_label_pure(self):
         from relscore.oracle import random_graph
 

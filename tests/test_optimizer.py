@@ -203,3 +203,8 @@ class TestEstimate:
     def test_invalid_config(self, bad):
         with pytest.raises(OptimizerError):
             OptimizerConfig(**bad)
+
+    def test_boolean_count_rejected(self):
+        with pytest.raises(OptimizerError) as exc:
+            OptimizerConfig(k_min=2, k_max=10, n_init=True)
+        assert str(exc.value) == "n_init must be an integer, got True"
