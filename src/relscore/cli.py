@@ -237,11 +237,15 @@ def _cmd_graph(args) -> int:
     out = _out_path(args.out)
     save_graph(graph, out)
     _write_manifest(out, "graph", args, inputs, started)
-    stuck = graph.provenance.options["non_converged"]
-    if stuck:
-        print(f"graph: bandwidth calibration did not converge for {stuck} of "
-              f"{graph.n_vertices} vertices", file=sys.stderr)
+    _warn_non_converged("graph: ", graph.provenance.options["non_converged"],
+                        graph.n_vertices)
     return 0
+
+
+def _warn_non_converged(where: str, stuck: int, n: int) -> None:
+    if stuck:
+        print(f"{where}bandwidth calibration did not converge for {stuck} of {n} "
+              "vertices", file=sys.stderr)
 
 
 def _build_from_flags(args, dataset):
@@ -309,6 +313,7 @@ def _cmd_sweep(args) -> int:
     for row in result.rows:
         if row.error is not None:
             print(f"sweep: k={row.k}: {row.error}", file=sys.stderr)
+        _warn_non_converged(f"sweep: k={row.k}: ", row.non_converged, dataset.n)
     out = _out_path(args.out)
     if out.suffix.lower() == ".json":
         _write_json(out, result.to_dict())
@@ -333,6 +338,8 @@ def _cmd_estimate(args) -> int:
     )
     best_k, trace = estimate(dataset, labels, args.method, config,
                              prune_eps=args.prune_eps, threads=args.threads)
+    for trial in trace.trials:
+        _warn_non_converged(f"estimate: k={trial.k}: ", trial.non_converged, dataset.n)
     if args.trace:
         out = _out_path(args.trace)
         _write_json(out, trace.to_dict())

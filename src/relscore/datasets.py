@@ -41,8 +41,14 @@ def integer_values(values) -> tuple[np.ndarray, np.ndarray]:
     is never cast, so Python ints too large for int64 stay exact; its
     entries that are neither integers nor integral floats are flagged, and
     booleans are not integers.  Entries of any other dtype are all flagged.
+    A list or tuple holding a boolean is read as an object array, as
+    numpy would cast its booleans to 0 and 1.
     """
     raw = np.asarray(values)
+    if isinstance(values, (list, tuple)) and raw.dtype.kind in "iuf":
+        entries = np.array(values, dtype=object)
+        if any(isinstance(v, (bool, np.bool_)) for v in entries.flat):
+            raw = entries
     if raw.dtype.kind in "iu":
         return raw, np.zeros(raw.shape, dtype=bool)
     if raw.dtype.kind == "f":

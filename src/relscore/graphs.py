@@ -110,8 +110,9 @@ class RelationshipGraph:
             raise GraphError(f"n_vertices must be positive, got {n}")
         if n > _INT64_MAX:
             raise GraphError(f"n_vertices must be at most {_INT64_MAX}, got {n}")
-        ri, not_int_i = integer_values(np.reshape(self.edges_i, -1))
-        rj, not_int = integer_values(np.reshape(self.edges_j, -1))
+        # integer_values reads the caller's list, so a boolean in it is flagged
+        ri, not_int_i = (np.reshape(a, -1) for a in integer_values(self.edges_i))
+        rj, not_int = (np.reshape(a, -1) for a in integer_values(self.edges_j))
         w = _float_values(self.weights)
         if not (ri.size == rj.size == w.size):
             raise GraphError("edge arrays must have equal length")

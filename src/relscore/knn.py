@@ -1,27 +1,45 @@
 """Exact k-nearest-neighbor lists under the Euclidean metric.
 
-Brute force O(N^2 m) on purpose: neighborhood correctness is the whole
-point downstream, so no approximate index is used.
+Exact on purpose: neighborhood correctness is the whole point
+downstream, so no approximate index is used.  Every returned distance
+is the square root of a squared distance D of `_squared_distances`,
+accumulated feature by feature (subtract, square, add) in feature
+order, and the lists are those of a full O(N^2 m) pass over every pair.
 
-Squared distances are computed one block of rows at a time.  A block
-holds at most 2**16 // N rows, so each N-wide temporary stays at or
-under 512 KiB whatever N is, and a block's two temporaries fit in a
-core's L2 cache.  The feature columns are copied once into a
-contiguous (m, N) array, so each feature's subtraction reads
-contiguous memory.  Blocks run on `run_blocks`, the one pool of worker
-threads in relscore (numpy releases the GIL), which bandwidth
-calibration in `graphs` shares; each block writes only its own rows of
-the result.  Each row is accumulated independently of its block, in the
-same feature order, so neither the block size nor the number of workers
-changes a bit of the result.  `threads` caps the workers of both the
-kNN pass and calibration, and never changes a byte.
+Rows are processed one block at a time.  A block holds at most
+2**16 // N rows, so each N-wide temporary stays at or under 512 KiB
+whatever N is.  Each block is first screened: A = |y_i|^2 + |y_j|^2 -
+2 y_i.y_j, one einsum product on a copy y of the data, centred on the
+per-feature midrange and scaled by an exact power of two.  A bound eps_i
+on the gap between A and D, in y's units, for every j of row i
+(rounding of the product, the norms, the centring and of D itself,
+underflow included; derived in `exact_knn`) makes the candidates
+{j : A_ij <= A_(k) + 2 eps_i} hold every vertex at or below the k-th
+smallest D, ties included.  Only those candidates get D computed, and a
+stable sort by (D, id) picks the k.  A block falls back to the
+full-row path, D for every pair, when a row has more than 4k candidates
+(tie-heavy data such as integer grids) or when a threshold, taken back
+to D's units and doubled twice, is not finite (squared distances near
+overflow).  The screen uses `np.einsum`, not a BLAS
+matrix product: BLAS would start its own threads inside each
+`run_blocks` worker and oversubscribe the cores, and the bound holds
+for any summation order, so einsum's order is as good as any.
 
-Selection avoids a full-row sort: `np.partition` finds the k-th
-smallest squared distance of each row, every column strictly below it
-is kept, ties at it are kept in ascending id up to k, and only the k
-kept values are stably sorted.  The lists therefore equal the first k
-columns of a stable full-row argsort, ordered by (distance, id), and
-the top-k lists are exact prefixes of the top-K lists for every k <= K.
+Blocks run on `run_blocks`, the one pool of worker threads in relscore
+(numpy releases the GIL), which bandwidth calibration in `graphs`
+shares; each block writes only its own rows of the result.  Both paths
+give a row the same bits, computed from that row alone, so neither the
+block size nor the number of workers changes a bit of the result.
+`threads` caps the workers of both the kNN pass and calibration, and
+never changes a byte.
+
+In the full-row path, selection avoids a full-row sort: `np.partition`
+finds the k-th smallest squared distance of each row, every column
+strictly below it is kept, ties at it are kept in ascending id up to k,
+and only the k kept values are stably sorted.  The lists therefore
+equal the first k columns of a stable full-row argsort, ordered by
+(distance, id), and the top-k lists are exact prefixes of the top-K
+lists for every k <= K.
 """
 
 from __future__ import annotations
@@ -40,6 +58,7 @@ __all__ = [
 ]
 
 _BLOCK_DOUBLES = 1 << 16  # per block temporary, kNN and calibration: 512 KiB
+_CANDIDATES_PER_K = 4  # a block with a row of more screen candidates falls back
 
 
 class KnnError(ValueError):
@@ -126,19 +145,59 @@ def run_blocks(fn, starts, threads: int | None) -> None:
             pass
 
 
-def _squared_distance_block(columns: np.ndarray, rows: slice) -> np.ndarray:
-    # columns is the (m, N) transpose of the data.  Accumulate (a-b)^2
-    # feature by feature: keeps peak memory at two chunk*N temporaries
-    # and makes d2[i,j] == d2[j,i] exactly, since both sides sum
-    # identical squares in the same feature order.
-    block = columns[:, rows]
-    d2 = np.zeros((block.shape[1], columns.shape[1]))
+def _squared_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Sum over features f of (left[f] - right[f])**2, broadcast, in feature order.
+
+    The one accumulation behind every distance `exact_knn` returns, for
+    the full rows of the fallback and the screened candidates alike.
+    Accumulating (a-b)^2 feature by feature keeps peak memory at two
+    result-sized temporaries and makes d2[i,j] == d2[j,i] exactly, since
+    both sides sum identical squares in the same feature order.
+    """
+    d2 = np.zeros(np.broadcast_shapes(left.shape[1:], right.shape[1:]))
     diff = np.empty_like(d2)
-    for f in range(columns.shape[0]):
-        np.subtract(block[f, :, None], columns[f, None, :], out=diff)
+    for f in range(left.shape[0]):
+        np.subtract(left[f], right[f], out=diff)
         np.multiply(diff, diff, out=diff)
         d2 += diff
     return d2
+
+
+def _screen_frame(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The screen's copy of the (m, N) columns: (y, squared norms, eps, e).
+
+    y = (x - c) * 2**-e, with c the per-feature midrange and e the
+    exponent of max|x - c|, so every |y| < 1 and the scaling is exact.
+    eps[i] bounds |A[i, j] - D[i, j] * 4**-e| over every j, where A is
+    the screen value of `_screen_block` and D the squared distance of
+    `_squared_distances` (bound derived in `exact_knn`).
+    """
+    m = columns.shape[0]
+    low, high = columns.min(axis=1), columns.max(axis=1)
+    centre = 0.5 * low + 0.5 * high
+    # rounding is monotone, so the extremes of each column give max|x - c|
+    _, e = np.frexp(np.max(np.maximum(high - centre, centre - low)))
+    e = int(e)
+    y = columns - centre[:, None]
+    np.ldexp(y, -e, out=y)
+    norms = np.einsum("fj,fj->j", y, y)
+    lengths = np.sqrt(norms)
+    with np.errstate(over="ignore"):
+        floor = np.ldexp(float(m), -1070) + np.ldexp(float(m), -1070 - 2 * e)
+    eps = (m + 3) * 2.0**-50 * (lengths + lengths.max()) ** 2 + floor
+    return y, norms, eps, e
+
+
+def _screen_block(y: np.ndarray, norms: np.ndarray, rows: slice) -> np.ndarray:
+    """A[i, j] = |y_i|^2 + |y_j|^2 - 2 y_i.y_j for the rows i of the block, every j.
+
+    One einsum product, which numpy computes without BLAS, so the
+    `run_blocks` workers start no BLAS threads of their own.
+    """
+    a = np.einsum("fi,fj->ij", -2.0 * y[:, rows], y)
+    a += norms[rows, None]
+    a += norms
+    return a
 
 
 def _smallest_stable(d2: np.ndarray, k: int) -> np.ndarray:
@@ -179,17 +238,66 @@ def exact_knn(dataset: Dataset, k: int, *, threads: int | None = None) -> Neighb
         raise KnnError(f"k must be in [1, {n - 1}], got {k}")
     chunk = block_rows(n)
     columns = np.ascontiguousarray(dataset.values.T)
+    y, norms, eps, e = _screen_frame(columns)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
 
+    def screened(rows: slice) -> tuple[np.ndarray, np.ndarray] | None:
+        # Why the candidates hold the k nearest.  With u = 2**-53,
+        # T = |x_i - x_j|^2 4**-e exactly and b = (|y_i| + max_j |y_j|)^2:
+        # - A expands into 3m products of entries of y; each passes at
+        #   most m + 2 roundings (its product, m - 1 adds of its einsum
+        #   sum in any order, the two adds of the norms), so
+        #   |A - |y_i - y_j|^2| <= gamma_{m+2} b, gamma_n = n u / (1 - n u)
+        #   (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+        # - Centring rounds each entry of y by at most u|y|, so
+        #   ||y_i - y_j| - sqrt(T)| <= u sqrt(b) and
+        #   ||y_i - y_j|^2 - T| <= (2u + u^2) b.
+        # - D passes m differences, m squares and m - 1 adds in feature
+        #   order: |D 4**-e - T| <= gamma_{m+2} T, with T <= (1 + u)^2 b.
+        # The sum, about 2 (m + 4) u b, is below eps's 8 (m + 3) u b,
+        # whose slack also covers the rounding of the norms, of eps and
+        # of the threshold below.  Underflow adds at most 2**-1075 per
+        # product or scaled entry: eps's floor holds it, in y's units for
+        # the screen and 4**-e times that for D.  So |A - D 4**-e| <= eps
+        # for every j whose D is finite.  The k smallest A then have
+        # D 4**-e <= A_(k) + eps, so the k-th smallest D is at most that
+        # too, and every j with D at or below it has A <= A_(k) + 2 eps:
+        # ties included, the candidates hold the k nearest by (D, id).
+        # Every candidate has D below 4 thr 4**e; a threshold for which
+        # that bound is not finite could let D overflow, so it falls back.
+        a = _screen_block(y, norms, rows)
+        own = np.arange(rows.stop - rows.start)
+        a[own, own + rows.start] = np.inf  # exclude self
+        thr = np.partition(a, k - 1, axis=1)[:, k - 1] + 2 * eps[rows]
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.ldexp(thr, 2 * e + 2)).all():
+                return None
+        # ascending id within each row; flatnonzero is faster than nonzero
+        row, cand = np.divmod(np.flatnonzero(a <= thr[:, None]), n)
+        counts = np.bincount(row, minlength=thr.size)
+        if counts.max() > _CANDIDATES_PER_K * k:
+            return None
+        d2 = _squared_distances(columns[:, row + rows.start], columns[:, cand])
+        slot = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        padded = np.full((counts.size, counts.max()), np.inf)
+        padded[row, slot] = d2
+        ids = np.zeros(padded.shape, dtype=np.int64)
+        ids[row, slot] = cand
+        order = np.argsort(padded, axis=1, kind="stable")[:, :k]  # by (D, id)
+        return np.take_along_axis(ids, order, axis=1), np.take_along_axis(padded, order, axis=1)
+
     def block(start: int) -> None:
-        stop = min(start + chunk, n)
-        d2 = _squared_distance_block(columns, slice(start, stop))
-        rows = np.arange(start, stop)
-        d2[rows - start, rows] = np.inf  # exclude self (duplicates keep 0)
-        order = _smallest_stable(d2, k)
-        indices[start:stop] = order
-        distances[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
+        rows = slice(start, min(start + chunk, n))
+        found = screened(rows)
+        if found is None:
+            d2 = _squared_distances(columns[:, rows, None], columns[:, None, :])
+            own = np.arange(rows.stop - rows.start)
+            d2[own, own + start] = np.inf  # exclude self (duplicates keep 0)
+            order = _smallest_stable(d2, k)
+            found = order, np.take_along_axis(d2, order, axis=1)
+        indices[rows], d2 = found
+        distances[rows] = np.sqrt(d2)
 
     run_blocks(block, range(0, n, chunk), threads)
     return NeighborLists(indices=indices, distances=distances, k=k)

@@ -443,12 +443,16 @@ def report(graph: RelationshipGraph, labels: LabelAssignment,
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One k of a sweep.  non_converged counts the vertices whose bandwidth
+    calibration did not converge; it is reported, never written to a file."""
+
     k: float
     precision: float | None
     recall_a0: float | None
     recall_a1: float | None
     fscore: float | None
     error: str | None = None
+    non_converged: int = 0
 
 
 @dataclass(frozen=True)
@@ -504,7 +508,8 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
             recall_a1 = _recall(stats.tp_count, stats.fn_edge, stats.fn_component, 1.0)
             p, r0, r1, f = (_balanced_mean(_label_means(stats, values))
                             for values in (precision, recall_a0, recall_a1, fscore))
-            rows.append(SweepRow(k, p, r0, r1, f))
+            rows.append(SweepRow(k, p, r0, r1, f,
+                                 non_converged=graph.provenance.options["non_converged"]))
         except (GraphError, MetricsError) as exc:
             rows.append(SweepRow(k, None, None, None, None, str(exc)))
     return SweepResult(method=method, config=config, rows=tuple(rows))

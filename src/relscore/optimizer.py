@@ -84,10 +84,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class Trial:
+    """One objective evaluation.  non_converged counts the vertices whose
+    bandwidth calibration did not converge; it is reported, never traced."""
+
     k: int
     fscore: float | None
     per_label: dict[str, float] | None
     error: str | None = None
+    non_converged: int = 0
 
 
 @dataclass(frozen=True)
@@ -249,18 +253,19 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     # the neighbor count grows with k, so k_max's lists cover every trial
     neighbors = shared_neighbors(method, dataset, [config.k_max], threads=threads)
 
-    def objective(k: int) -> tuple[float, dict[str, float]]:
+    def objective(k: int) -> tuple[float, dict[str, float], int]:
         graph = build_graph(method, dataset, k, prune_eps, neighbors=neighbors,
                             threads=threads)
         rep = report(graph, labels, config.metric)
         per_label = {name: s.fscore for name, s in rep.per_label.items()}
+        stuck = graph.provenance.options["non_converged"]
         if label_target is not None:
             if label_target not in per_label:
                 raise OptimizerError(
                     f"target label {label_target!r} has no members"
                 )
-            return per_label[label_target], per_label
-        return rep.global_fscore, per_label
+            return per_label[label_target], per_label, stuck
+        return rep.global_fscore, per_label, stuck
 
     candidates = np.arange(config.k_min, config.k_max + 1)
     xs = _normalize_log(candidates, config.k_min, config.k_max)
@@ -274,12 +279,13 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     def run_trial(k: int) -> None:
         k = int(k)
         try:
-            value, per_label = objective(k)
+            value, per_label, stuck = objective(k)
         except (GraphError, MetricsError, OptimizerError) as exc:
             trials.append(Trial(k=k, fscore=None, per_label=None, error=str(exc)))
             failed.add(k)
             return
-        trials.append(Trial(k=k, fscore=float(value), per_label=per_label))
+        trials.append(Trial(k=k, fscore=float(value), per_label=per_label,
+                            non_converged=stuck))
         observed[k] = float(value)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))

@@ -7,6 +7,8 @@ from relscore import datasets, knn
 from relscore.cli import build_parser, main
 from relscore.graphs import build_graph, save_graph
 from relscore.knn import usable_cores
+from relscore.metrics import MetricConfig, sweep, write_sweep_csv
+from relscore.optimizer import OptimizerConfig, estimate
 
 
 def run(*argv):
@@ -287,6 +289,58 @@ class TestEstimate:
                    "--trace", str(trace)) == 1
         assert "--prune-eps applies to --method tsne only" in capsys.readouterr().err
         assert not trace.exists()
+
+
+class TestNonConvergenceWarnings:
+    """sweep and estimate name each k whose calibration left vertices
+    unconverged, and the count stays out of their data files."""
+
+    @pytest.fixture
+    def huge_csv(self, tmp_path):
+        data, labels = datasets.preset("three-blobs", seed=7)
+        path = tmp_path / "huge.csv"
+        datasets.save_dataset(datasets.Dataset(np.ldexp(data.values, 100)), labels, path)
+        return path
+
+    def stuck(self, path, method, k):
+        return build_graph(method, datasets.load_dataset(path)[0], k).provenance.options[
+            "non_converged"]
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_sweep(self, huge_csv, tmp_path, capsys, suffix):
+        out = tmp_path / f"sweep{suffix}"
+        capsys.readouterr()
+        assert run("sweep", "--data", str(huge_csv), "--method", "umap",
+                   "--k-list", "5,15", "--out", str(out)) == 0
+        stuck = {k: self.stuck(huge_csv, "umap", k) for k in (5, 15)}
+        assert all(stuck.values())
+        assert capsys.readouterr().err == "".join(
+            f"sweep: k={k}: bandwidth calibration did not converge for {c} of 150 "
+            "vertices\n" for k, c in stuck.items())
+        data, labels = datasets.load_dataset(huge_csv)
+        result = sweep(data, labels, "umap", [5, 15], MetricConfig())
+        assert [row.non_converged for row in result.rows] == list(stuck.values())
+        if suffix == ".csv":
+            write_sweep_csv(result, tmp_path / "library.csv")
+            assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+        else:
+            assert json.loads(out.read_text()) == json.loads(json.dumps(result.to_dict()))
+
+    def test_estimate(self, huge_csv, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        capsys.readouterr()
+        assert run("estimate", "--data", str(huge_csv), "--method", "tsne",
+                   "--k-min", "5", "--k-max", "20", "--budget", "3", "--n-init", "2",
+                   "--seed", "0", "--trace", str(trace)) == 0
+        data, labels = datasets.load_dataset(huge_csv)
+        _, library = estimate(data, labels, "tsne", OptimizerConfig(
+            k_min=5, k_max=20, n_init=2, budget=3, seed=0))
+        assert len(library.trials) == 3
+        assert capsys.readouterr().err == "".join(
+            f"estimate: k={t.k}: bandwidth calibration did not converge for "
+            f"{self.stuck(huge_csv, 'tsne', t.k)} of 150 vertices\n"
+            for t in library.trials)
+        assert json.loads(trace.read_text()) == json.loads(json.dumps(library.to_dict()))
 
 
 class TestVerifyExport:

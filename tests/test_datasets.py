@@ -266,7 +266,8 @@ class TestDatasetInvariants:
         ((0.5, 1.5), "0.5"),
         ((0, float("nan")), "nan"),
         ((float("inf"), 0), "inf"),
-    ], ids=["fractional", "nan", "inf"])
+        ((0, True), "True"),
+    ], ids=["fractional", "nan", "inf", "boolean-in-tuple"])
     def test_row_ids_must_be_integers(self, ids, shown):
         with pytest.raises(DatasetError) as exc:
             Dataset(np.array([[0.0], [1.0]]), ids=ids)
@@ -275,7 +276,8 @@ class TestDatasetInvariants:
     @pytest.mark.parametrize("ids, shown", [
         (np.array([False, True, False]), "False"),
         (np.array([0, True, 0], dtype=object), "True"),
-    ], ids=["boolean", "boolean-object"])
+        ([0, True, 0], "True"),
+    ], ids=["boolean", "boolean-object", "boolean-in-list"])
     def test_boolean_label_ids_rejected(self, ids, shown):
         with pytest.raises(DatasetError) as exc:
             LabelAssignment(ids, ("a", "b"))

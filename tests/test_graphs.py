@@ -280,7 +280,8 @@ class TestGraphType:
          "edges[0]: edge endpoint True is not an integer"),
         (np.array(["a"]), [1], "edges[0]: edge endpoint a is not an integer"),
         ([0, None], [1, 2], "edges[1]: edge endpoint None is not an integer"),
-    ], ids=["boolean", "boolean-object", "text", "none"])
+        ([0, False], (True, 2), "edges[0]: edge endpoint True is not an integer"),
+    ], ids=["boolean", "boolean-object", "text", "none", "boolean-in-list"])
     def test_rejects_endpoints_that_are_not_numbers(self, edges_i, edges_j, message):
         with pytest.raises(GraphError) as exc:
             RelationshipGraph(3, edges_i, edges_j, [1.0] * len(edges_j),

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from relscore import knn as knn_module
 from relscore.datasets import Dataset, preset
-from relscore.knn import KnnError, _smallest_stable, euclidean, exact_knn
+from relscore.knn import (
+    KnnError, _smallest_stable, _squared_distances, euclidean, exact_knn,
+)
 from relscore.oracle import MAX_VERTICES, OracleError, brute_force_knn
 
 
@@ -195,18 +198,109 @@ class TestAgainstOracle:
             brute_force_knn(Dataset(np.zeros((MAX_VERTICES + 1, 1))), 1)
 
 
+def full_row_knn(data, k):
+    """The full-row path on the whole matrix: every distance, then selection."""
+    columns = np.ascontiguousarray(data.values.T)
+    d2 = _squared_distances(columns[:, :, None], columns[:, None, :])
+    np.fill_diagonal(d2, np.inf)
+    order = _smallest_stable(d2, k)
+    return order, np.sqrt(np.take_along_axis(d2, order, axis=1))
+
+
+@st.composite
+def screen_cases(draw):
+    """Continuous blobs, shifted, scaled by 2**s, with some rows duplicated; and k.
+
+    Blobs 1e-9 wide put distances far below the screen's rounding, so
+    the screen alone cannot order them.
+    """
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 4))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    centers = rng.random((draw(st.integers(1, 4)), m)) * 6 - 3
+    width = draw(st.sampled_from([1.0, 1e-9]))
+    values = centers[rng.integers(0, len(centers), n)] + width * rng.normal(size=(n, m))
+    copies = draw(st.integers(0, n // 3))
+    values[rng.integers(0, n, copies)] = values[rng.integers(0, n, copies)]
+    offset = draw(st.sampled_from([0.0, -1e3, 1e8]))
+    # 1e-9-wide blobs at 2**-500 would underflow, which Dataset rejects
+    scale = draw(st.integers(-500 if width == 1.0 else -450, 500))
+    k = draw(st.integers(1, n - 1))
+    return np.ldexp(values + offset, scale), k
+
+
+def near_overflow():
+    """Values near 1e200 whose squared distances reach 8.1e307.
+
+    A Dataset rejects data whose squared distances overflow; these come
+    within a factor four of it, where the screen's threshold check must
+    send the block to the full-row path.
+    """
+    return np.column_stack([np.full(10, 1e200), np.arange(10.0) * 1e153])
+
+
+class TestScreen:
+    def test_screen_matches_full_row_path(self, monkeypatch):
+        ran = Counter()
+        real_screen, real_select = knn_module._screen_block, knn_module._smallest_stable
+
+        def screen_spy(*args):
+            ran["block"] += 1
+            return real_screen(*args)
+
+        def select_spy(*args):
+            ran["fallback"] += 1
+            return real_select(*args)
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+        @given(screen_cases())
+        @example((np.array([[0.0, 1.0], [2.0, 0.5], [0.0, 1.0], [0.0, 1.0]]), 3))
+        @example((np.ldexp(np.array([[0.0], [0.25], [1.5], [2.0]]) + 1e8, 500), 2))
+        @example((np.ldexp(np.array([[0.0, 1.0], [0.5, 0.75], [3.0, 1.0]]), -500), 1))
+        @example((near_overflow(), 9))
+        def check(case):
+            values, k = case
+            data = Dataset(values)
+            want_indices, want_distances = full_row_knn(data, k)
+            monkeypatch.setattr(knn_module, "_screen_block", screen_spy)
+            monkeypatch.setattr(knn_module, "_smallest_stable", select_spy)
+            got = exact_knn(data, k, threads=1)
+            monkeypatch.undo()
+            assert got.indices.tobytes() == want_indices.tobytes()
+            assert got.distances.tobytes() == want_distances.tobytes()
+
+        check()
+        assert ran["fallback"] >= 1  # the full-row path ran
+        assert ran["block"] > ran["fallback"]  # the screen path ran
+
+    def test_near_overflow_falls_back(self, monkeypatch):
+        fallback = []
+        real = knn_module._smallest_stable
+
+        def spy(*args):
+            fallback.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(knn_module, "_smallest_stable", spy)
+        data = Dataset(near_overflow())
+        for k in range(1, data.n):
+            got = exact_knn(data, k)
+            assert got.indices.tobytes() == brute_force_knn(data, k).indices.tobytes()
+        assert len(fallback) == 3  # k = 7, 8, 9: 4 * (k-th squared distance) overflows
+
+
 class TestBlockBound:
     def test_default_block_is_byte_bounded(self, monkeypatch):
         seen = []
-        real = knn_module._squared_distance_block
+        real = knn_module._screen_block
 
         def spy(*args):
-            d2 = real(*args)
-            seen.append(d2.nbytes)
-            return d2
+            a = real(*args)
+            seen.append(a.nbytes)
+            return a
 
         monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 64)
-        monkeypatch.setattr(knn_module, "_squared_distance_block", spy)
+        monkeypatch.setattr(knn_module, "_screen_block", spy)
         rng = np.random.Generator(np.random.PCG64(14))
         data = Dataset(rng.random((30, 2)))
         got = exact_knn(data, 5)

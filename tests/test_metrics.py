@@ -94,7 +94,8 @@ class TestComponents:
     @pytest.mark.parametrize("ids, shown", [
         (np.array([False, True]), "False"),
         (np.array([0, True], dtype=object), "True"),
-    ], ids=["boolean", "boolean-object"])
+        ([0, np.True_], "True"),
+    ], ids=["boolean", "boolean-object", "boolean-in-list"])
     def test_boolean_component_ids_rejected(self, ids, shown):
         with pytest.raises(MetricsError) as exc:
             ComponentAssignment(ids)
