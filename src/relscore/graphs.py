@@ -282,6 +282,15 @@ def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | Non
     return neighbors.prefix(count)
 
 
+def _window_exponents(distances: np.ndarray) -> np.ndarray:
+    """Per-row power-of-two exponent e that puts 2^-e times the row's middle
+    candidate distance in [2^-33, 2^31): 0 for a distance already there,
+    else a multiple of 64.  The rows are sorted, so no median pass is needed.
+    """
+    _, x = np.frexp(distances[:, distances.shape[1] // 2])
+    return (x + 32) // 64 * 64
+
+
 def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
     """`solve` run over row blocks of the distance lists on the kNN pool.
 
@@ -289,6 +298,12 @@ def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
     its rows.  A block holds `block_rows(k)` rows, the kNN block
     budget, and writes only its own rows; each row's bisection reads its
     row alone, so neither blocks nor `threads` change a bit.
+
+    Each row is first scaled by the exact power of two 2^-e of
+    `_window_exponents`, so the bisection's fixed log10 sigma window fits
+    data of any scale: both methods' weights depend on the distances only
+    through their ratios to sigma, and sigma is scaled back, exactly, to
+    the caller's units.  A block whose rows all have e = 0 is not touched.
     """
     n, k = nbrs.n, nbrs.k
     chunk = block_rows(k)
@@ -298,8 +313,13 @@ def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
 
     def block(start: int) -> None:
         rows = slice(start, start + chunk)
-        sigma[rows], achieved[rows], converged[rows], weights[rows] = solve(
-            nbrs.distances[rows])
+        distances = nbrs.distances[rows]
+        exponents = _window_exponents(distances)
+        scaled = exponents.any()
+        if scaled:
+            distances = np.ldexp(distances, -exponents[:, None])
+        s, achieved[rows], converged[rows], weights[rows] = solve(distances)
+        sigma[rows] = np.ldexp(s, exponents) if scaled else s
 
     run_blocks(block, range(0, n, chunk), threads)
     return BandwidthCalibration(sigma, achieved, target, converged), weights

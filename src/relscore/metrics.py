@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 class MetricsError(ValueError):
     """Inconsistent metric inputs or invalid configuration."""
 
@@ -119,20 +122,36 @@ def _check_cover(graph: RelationshipGraph, labels: LabelAssignment) -> None:
         )
 
 
+def _component_ids(row_counts: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Smallest member vertex of each vertex's component, for the edges
+    i < j sorted by (i, j) that give row_counts[i] entries of columns `cols`."""
+    n = row_counts.size
+    # sorted rows with ascending columns are a CSR as they stand: no COO step;
+    # float64 data is the type connected_components reads, so it is not copied
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
+    adj = csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
+    n_comp, raw = connected_components(adj, directed=False)
+    smallest = np.full(n_comp, n, dtype=np.int64)
+    np.minimum.at(smallest, raw, np.arange(n))
+    return smallest[raw]
+
+
+def _intra_label_edges(graph: RelationshipGraph, same: np.ndarray):
+    """Row counts and columns of the same-label edges, columns in the index
+    type scipy keeps for n vertices, so the CSR shares them."""
+    n = graph.n_vertices
+    cols = graph.edges_j[same].astype(np.int32 if n <= _INT32_MAX else np.int64)
+    return np.bincount(graph.edges_i[same], minlength=n), cols
+
+
 def intra_label_components(graph: RelationshipGraph,
                            labels: LabelAssignment) -> ComponentAssignment:
     """Connected components of the same-label edges; each is label-pure."""
     _check_cover(graph, labels)
-    n = graph.n_vertices
     lab = labels.labels
-    intra = lab[graph.edges_i] == lab[graph.edges_j]
-    ei, ej = graph.edges_i[intra], graph.edges_j[intra]
-    adj = csr_matrix((np.ones(ei.size, dtype=np.int8), (ei, ej)), shape=(n, n))
-    n_comp, raw = connected_components(adj, directed=False)
-    # canonical id: the smallest member vertex of each component
-    smallest = np.full(n_comp, n, dtype=np.int64)
-    np.minimum.at(smallest, raw, np.arange(n))
-    return ComponentAssignment(smallest[raw])
+    same = lab[graph.edges_i] == lab[graph.edges_j]
+    return ComponentAssignment(_component_ids(*_intra_label_edges(graph, same)))
 
 
 def classify_neighbors(graph: RelationshipGraph, labels: LabelAssignment,
@@ -227,31 +246,44 @@ class _GraphStats:
     degree: np.ndarray
     fn_edge: np.ndarray
     fn_component: np.ndarray
-    label_weight: np.ndarray   # (L, L): incident weight by (own, neighbor) label
 
 
 def _compute_stats(graph: RelationshipGraph, labels: LabelAssignment) -> _GraphStats:
+    """Tallies straight from the sorted upper-triangle edges, with no directed view.
+
+    Vertex v's row of the directed view (`adjacency()`) is its edges (i, v)
+    by ascending i, then (v, j) by ascending j: in the sorted edge list,
+    the ej == v entries and then the ei == v entries, each in list order.
+    bincount over ej followed by the unbuffered add.at over ei adds them
+    in that order, so each weight sum is bitwise the directed view's; the
+    +0.0 added for an entry of the other kind leaves a sum of positive
+    weights unchanged.  Every temporary holds at most E entries.
+    """
     _check_cover(graph, labels)
     n = graph.n_vertices
     lab = labels.labels
     n_labels = len(labels.vocabulary)
-    # directed view sorted by (source, neighbor): bincount then accumulates
-    # each vertex's weights in ascending neighbor-id order
-    offsets, dst, w = graph.adjacency()
-    degree = np.diff(offsets)
-    src = np.repeat(np.arange(n), degree)
-    same = lab[src] == lab[dst]
-    tp_weight = np.bincount(src[same], weights=w[same], minlength=n)
-    fp_weight = np.bincount(src[~same], weights=w[~same], minlength=n)
-    tp_count = np.bincount(src[same], minlength=n)
+    ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
+
+    def incident(x):  # per-vertex sum of x over its edges, in directed-view order
+        # float64 also for no edges, where bincount gives int64 zeros
+        out = np.bincount(ej, weights=x, minlength=n).astype(float, copy=False)
+        np.add.at(out, ei, x)
+        return out
+
+    same = lab[ei] == lab[ej]
+    x = np.where(same, w, 0.0)
+    tp_weight = incident(x)
+    fp_weight = incident(np.subtract(w, x, out=x))
+    del x
+    row_counts, cols = _intra_label_edges(graph, same)
+    del same
+    tp_count = row_counts + np.bincount(cols, minlength=n)
+    degree = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
     same_total = np.bincount(lab, minlength=n_labels)[lab]
     fn_edge = same_total - 1 - tp_count
-    comp_sizes = intra_label_components(graph, labels).sizes()
+    comp_sizes = ComponentAssignment(_component_ids(row_counts, cols)).sizes()
     fn_component = same_total - comp_sizes
-    pair_key = lab[src] * n_labels + lab[dst]
-    label_weight = np.bincount(
-        pair_key, weights=w, minlength=n_labels * n_labels
-    ).reshape(n_labels, n_labels)
     return _GraphStats(
         n=n,
         label_ids=lab,
@@ -263,7 +295,6 @@ def _compute_stats(graph: RelationshipGraph, labels: LabelAssignment) -> _GraphS
         degree=degree,
         fn_edge=fn_edge,
         fn_component=fn_component,
-        label_weight=label_weight,
     )
 
 
@@ -285,6 +316,26 @@ def _balanced_mean(values) -> float:
     # numeric order makes the result independent of vocabulary order
     v = np.sort(np.asarray(values, dtype=float))
     return float(v.sum() / v.size)
+
+
+def _label_fscores(graph: RelationshipGraph, labels: LabelAssignment,
+                   config: MetricConfig) -> dict[str, float]:
+    """Mean f-score of each present label, the `fscore` of `report`'s `per_label`."""
+    stats = _compute_stats(graph, labels)
+    fscore = _vertex_scores(stats, config.alpha, config.beta)[2]
+    return {stats.vocabulary[lid]: f
+            for lid, f in zip(stats.present.tolist(), _label_means(stats, fscore))}
+
+
+def _label_weight(graph: RelationshipGraph, stats: _GraphStats) -> np.ndarray:
+    """(L, L) incident weight by (own, neighbor) label, summed in directed-view order."""
+    offsets, dst, w = graph.adjacency()
+    lab = stats.label_ids
+    n_labels = len(stats.vocabulary)
+    pair_key = np.repeat(lab, np.diff(offsets)) * n_labels + lab[dst]
+    return np.bincount(
+        pair_key, weights=w, minlength=n_labels * n_labels
+    ).reshape(n_labels, n_labels)
 
 
 _QUADRANT_NOTES = {
@@ -380,13 +431,13 @@ class MetricReport:
             )
 
 
-def _label_summaries(stats: _GraphStats, precision, recall, fscore,
-                     threshold: float) -> dict[str, LabelSummary]:
+def _label_summaries(stats: _GraphStats, label_weight: np.ndarray, precision, recall,
+                     fscore, threshold: float) -> dict[str, LabelSummary]:
     out: dict[str, LabelSummary] = {}
     sizes = np.bincount(stats.label_ids)
     for lid, p, r, f in zip(stats.present.tolist(), _label_means(stats, precision),
                             _label_means(stats, recall), _label_means(stats, fscore)):
-        row = stats.label_weight[lid]
+        row = label_weight[lid]
         # ascending-value sum: the total cannot shift under relabeling
         total = float(np.sort(row).sum())
         if total > 0.0:
@@ -422,7 +473,8 @@ def report(graph: RelationshipGraph, labels: LabelAssignment,
     stats = _compute_stats(graph, labels)
     precision, recall, fscore = _vertex_scores(stats, config.alpha, config.beta)
     per_label = _label_summaries(
-        stats, precision, recall, fscore, config.quadrant_threshold
+        stats, _label_weight(graph, stats), precision, recall, fscore,
+        config.quadrant_threshold
     )
     summaries = list(per_label.values())
     return MetricReport(

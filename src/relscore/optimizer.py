@@ -19,7 +19,7 @@ from scipy.special import ndtr
 from .datasets import Dataset, LabelAssignment, integer_values
 from .graphs import GraphError, build_graph, shared_neighbors
 from .graphs import build_tsne_graph  # not called: the benchmark's tracer test reads it
-from .metrics import MetricConfig, MetricsError, report
+from .metrics import MetricConfig, MetricsError, _balanced_mean, _label_fscores
 
 __all__ = [
     "OptimizerError",
@@ -256,8 +256,7 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     def objective(k: int) -> tuple[float, dict[str, float], int]:
         graph = build_graph(method, dataset, k, prune_eps, neighbors=neighbors,
                             threads=threads)
-        rep = report(graph, labels, config.metric)
-        per_label = {name: s.fscore for name, s in rep.per_label.items()}
+        per_label = _label_fscores(graph, labels, config.metric)
         stuck = graph.provenance.options["non_converged"]
         if label_target is not None:
             if label_target not in per_label:
@@ -265,7 +264,7 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
                     f"target label {label_target!r} has no members"
                 )
             return per_label[label_target], per_label, stuck
-        return rep.global_fscore, per_label, stuck
+        return _balanced_mean(list(per_label.values())), per_label, stuck
 
     candidates = np.arange(config.k_min, config.k_max + 1)
     xs = _normalize_log(candidates, config.k_min, config.k_max)

@@ -221,9 +221,11 @@ class TestGraphScore:
                    "--out", str(small)) == 0
         data, labels = datasets.load_dataset(small)
         assert data.n == 60
-        huge = tmp_path / "huge.csv"
-        datasets.save_dataset(datasets.Dataset(data.values * 1e30), labels, huge)
-        for path, stuck in ((small, 0), (huge, 60)):
+        # each point stacked 20 times: every candidate of every row sits at distance 0
+        copies = tmp_path / "copies.csv"
+        datasets.save_dataset(datasets.Dataset(np.repeat(data.values[::20], 20, axis=0)),
+                              labels, copies)
+        for path, stuck in ((small, 0), (copies, 60)):
             gpath = tmp_path / f"{path.stem}.json"
             capsys.readouterr()
             assert run("graph", "--data", str(path), "--method", method, flag, k,
@@ -296,10 +298,13 @@ class TestNonConvergenceWarnings:
     unconverged, and the count stays out of their data files."""
 
     @pytest.fixture
-    def huge_csv(self, tmp_path):
+    def stuck_csv(self, tmp_path):
+        # the first point of each blob stacked 50 times: no bandwidth reaches
+        # the target, for every k these tests use
         data, labels = datasets.preset("three-blobs", seed=7)
-        path = tmp_path / "huge.csv"
-        datasets.save_dataset(datasets.Dataset(np.ldexp(data.values, 100)), labels, path)
+        path = tmp_path / "stuck.csv"
+        datasets.save_dataset(datasets.Dataset(np.repeat(data.values[::50], 50, axis=0)),
+                              labels, path)
         return path
 
     def stuck(self, path, method, k):
@@ -307,17 +312,17 @@ class TestNonConvergenceWarnings:
             "non_converged"]
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
-    def test_sweep(self, huge_csv, tmp_path, capsys, suffix):
+    def test_sweep(self, stuck_csv, tmp_path, capsys, suffix):
         out = tmp_path / f"sweep{suffix}"
         capsys.readouterr()
-        assert run("sweep", "--data", str(huge_csv), "--method", "umap",
+        assert run("sweep", "--data", str(stuck_csv), "--method", "umap",
                    "--k-list", "5,15", "--out", str(out)) == 0
-        stuck = {k: self.stuck(huge_csv, "umap", k) for k in (5, 15)}
+        stuck = {k: self.stuck(stuck_csv, "umap", k) for k in (5, 15)}
         assert all(stuck.values())
         assert capsys.readouterr().err == "".join(
             f"sweep: k={k}: bandwidth calibration did not converge for {c} of 150 "
             "vertices\n" for k, c in stuck.items())
-        data, labels = datasets.load_dataset(huge_csv)
+        data, labels = datasets.load_dataset(stuck_csv)
         result = sweep(data, labels, "umap", [5, 15], MetricConfig())
         assert [row.non_converged for row in result.rows] == list(stuck.values())
         if suffix == ".csv":
@@ -326,19 +331,19 @@ class TestNonConvergenceWarnings:
         else:
             assert json.loads(out.read_text()) == json.loads(json.dumps(result.to_dict()))
 
-    def test_estimate(self, huge_csv, tmp_path, capsys):
+    def test_estimate(self, stuck_csv, tmp_path, capsys):
         trace = tmp_path / "trace.json"
         capsys.readouterr()
-        assert run("estimate", "--data", str(huge_csv), "--method", "tsne",
+        assert run("estimate", "--data", str(stuck_csv), "--method", "tsne",
                    "--k-min", "5", "--k-max", "20", "--budget", "3", "--n-init", "2",
                    "--seed", "0", "--trace", str(trace)) == 0
-        data, labels = datasets.load_dataset(huge_csv)
+        data, labels = datasets.load_dataset(stuck_csv)
         _, library = estimate(data, labels, "tsne", OptimizerConfig(
             k_min=5, k_max=20, n_init=2, budget=3, seed=0))
         assert len(library.trials) == 3
         assert capsys.readouterr().err == "".join(
             f"estimate: k={t.k}: bandwidth calibration did not converge for "
-            f"{self.stuck(huge_csv, 'tsne', t.k)} of 150 vertices\n"
+            f"{self.stuck(stuck_csv, 'tsne', t.k)} of 150 vertices\n"
             for t in library.trials)
         assert json.loads(trace.read_text()) == json.loads(json.dumps(library.to_dict()))
 

@@ -848,10 +848,19 @@ class TestAssemblyMemory:
         assert peak < 7 * data.n * nbrs.k * 8
 
 
+def in_window(distances):
+    """Each row times 2^-e, e the multiple of 64 that puts its middle distance
+    in [2^-33, 2^31) (0 if it is there already), and the exponents e."""
+    e = (np.frexp(distances[:, distances.shape[1] // 2])[1] + 32) // 64 * 64
+    return np.ldexp(distances, -e[:, None]), e
+
+
 def unblocked_tsne_parts(nbrs, perplexity):
-    """t-SNE calibration as it ran before row blocks: one bisection over all rows."""
+    """t-SNE calibration as it ran before row blocks: one bisection over all
+    rows, on the rows brought into the bandwidth window."""
     n = nbrs.n
-    d2 = nbrs.distances * nbrs.distances
+    distances, exponents = in_window(nbrs.distances)
+    d2 = distances * distances
     d2s = d2 - d2[:, :1]
 
     def conditionals(rows, sigma):
@@ -866,15 +875,18 @@ def unblocked_tsne_parts(nbrs, perplexity):
     sigma, achieved, converged = graphs_module._bisect_bandwidth(
         row_objective, n, float(perplexity), CALIBRATION_TOL
     )
-    cal = BandwidthCalibration(sigma, achieved, float(perplexity), converged)
+    cal = BandwidthCalibration(np.ldexp(sigma, exponents), achieved, float(perplexity),
+                               converged)
     return cal, conditionals(np.arange(n), sigma)
 
 
 def unblocked_umap_parts(nbrs):
-    """UMAP calibration as it ran before row blocks: one bisection over all rows."""
+    """UMAP calibration as it ran before row blocks: one bisection over all
+    rows, on the rows brought into the bandwidth window."""
     n, n_neighbors = nbrs.n, nbrs.k
-    rho = nbrs.distances[:, 0]
-    adj = np.maximum(nbrs.distances - rho[:, None], 0.0)
+    distances, exponents = in_window(nbrs.distances)
+    rho = distances[:, 0]
+    adj = np.maximum(distances - rho[:, None], 0.0)
     degenerate = adj.max(axis=1) == 0.0
     target = math.log2(n_neighbors)
 
@@ -886,7 +898,7 @@ def unblocked_umap_parts(nbrs):
     )
     sigma[degenerate] = 1.0
     achieved[degenerate] = float(n_neighbors)
-    cal = BandwidthCalibration(sigma, achieved, target, converged)
+    cal = BandwidthCalibration(np.ldexp(sigma, exponents), achieved, target, converged)
     return cal, np.exp(-adj / sigma[:, None])
 
 
@@ -897,7 +909,7 @@ def calibration_input(name):
     if name == "duplicate-grid":  # four copies of each point: degenerate UMAP rows at k=3
         grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
         return Dataset(np.repeat(grid, 4, axis=0))
-    return Dataset(blobs.values * 1e30)  # "blobs-1e30": bandwidths past the search bound
+    return Dataset(blobs.values * 1e30)  # "blobs-1e30": every row rescaled
 
 
 class TestBlockedCalibration:
@@ -932,8 +944,8 @@ class TestBlockedCalibration:
                                 lambda nbrs, threads: unblocked_umap_parts(nbrs))
         want_graph = graphs_module.build_graph(method, data, k, neighbors=nbrs)
         monkeypatch.setattr(graphs_module, f"_{method}_parts", blocked)
-        if name == "blobs-1e30":
-            assert not want_cal.all_converged
+        if name == "blobs-1e30":  # past the bandwidth window unless rescaled
+            assert (in_window(nbrs.distances)[1] != 0).all() and want_cal.all_converged
         if name == "duplicate-grid" and k == 3:
             assert (want_cal.achieved == 3.0).all() and not want_cal.converged.any()
 
@@ -1011,3 +1023,55 @@ class TestBlockedCalibration:
         config = OptimizerConfig(k_min=5, k_max=20, n_init=3, budget=5)
         _, trace = estimate(data, labels, "tsne", config, threads=3)
         assert len(trace.trials) == 5 and seen == [3] * 5
+
+
+class TestScaleSafeCalibration:
+    """Rows are brought into the bandwidth window by exact powers of two, so
+    the scale of the data does not decide convergence.  On three-blobs the
+    middle candidate distances lie within 2^-4..2^3, so the rows of x2^100
+    are scaled by 2^-128 and those of x2^-100 by 2^128."""
+
+    CASES = [("tsne", 20.0), ("umap", 15)]
+
+    @staticmethod
+    def scaled(exponent=0, factor=1.0):
+        data, labels = preset("three-blobs", seed=7)
+        return Dataset(np.ldexp(data.values, exponent) * factor), labels
+
+    @pytest.mark.parametrize("method, k", CASES)
+    @pytest.mark.parametrize("exponent, copy", [(100, -28), (-100, 28)])
+    def test_power_of_two_scale_is_bitwise_its_in_window_copy(self, method, k, exponent,
+                                                              copy):
+        data, _ = self.scaled(exponent)
+        window, _ = self.scaled(copy)
+        count = graphs_module.neighbor_count(method, data.n, k)
+        middle = exact_knn(window, count).distances[:, count // 2]
+        assert ((middle >= 2.0 ** -33) & (middle < 2.0 ** 31)).all()  # left as it is
+        got, want = (graphs_module.build_graph(method, d, k) for d in (data, window))
+        same_arrays((got.edges_i, got.edges_j, got.weights),
+                    (want.edges_i, want.edges_j, want.weights))
+        assert got.provenance == want.provenance
+        calibrate = tsne_calibration if method == "tsne" else umap_calibration
+        got_cal, want_cal = calibrate(data, k), calibrate(window, k)
+        assert want_cal.all_converged
+        # sigma in the caller's units: the copy's, times the exact scale between them
+        same_arrays((got_cal.sigma, got_cal.achieved, got_cal.converged),
+                    (np.ldexp(want_cal.sigma, exponent - copy), want_cal.achieved,
+                     want_cal.converged))
+
+    @pytest.mark.parametrize("method, k", CASES)
+    @pytest.mark.parametrize("exponent, factor", [(100, 1.0), (-100, 1.0), (0, 1e30),
+                                                  (0, 1e-30)])
+    def test_matches_the_unscaled_graph(self, method, k, exponent, factor):
+        data, labels = self.scaled(exponent, factor)
+        base, _ = self.scaled()
+        got, want = (graphs_module.build_graph(method, d, k) for d in (data, base))
+        assert got.provenance.options["non_converged"] == 0
+        # edge sets equal but for pairs near the pruning floor
+        floor = default_prune_eps(data.n) if method == "tsne" else 0.0
+        weight = [dict(zip(zip(g.edges_i.tolist(), g.edges_j.tolist()), g.weights.tolist()))
+                  for g in (got, want)]
+        for pair in weight[0].keys() ^ weight[1].keys():
+            assert weight[0].get(pair, weight[1].get(pair)) <= 10 * floor
+        assert abs(report(got, labels).global_fscore
+                   - report(want, labels).global_fscore) <= 1e-3
