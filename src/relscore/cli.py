@@ -85,21 +85,23 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _write_manifest(data_path: Path, command: str, args: argparse.Namespace,
-                    inputs: list[Path], started: float) -> None:
+def _write_manifest(args: argparse.Namespace, inputs: list[Path], started: float,
+                    *outputs: Path) -> None:
+    """One sidecar per output; each input is hashed once."""
     flags = {
         key: (str(value) if isinstance(value, Path) else value)
         for key, value in vars(args).items()
         if key != "handler"
     }
     manifest = {
-        "command": command,
+        "command": args.command,
         "flags": flags,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "tool_version": __version__,
         "duration_s": time.monotonic() - started,
     }
-    _write_json(Path(str(data_path) + ".manifest.json"), manifest)
+    for out in outputs:
+        _write_json(Path(str(out) + ".manifest.json"), manifest)
 
 
 def _positive_threads(raw: str) -> int:
@@ -220,7 +222,7 @@ def _cmd_synth(args) -> int:
         raise UsageError("one of --preset, --spec, --centers is required")
     out = _out_path(args.out)
     save_dataset(dataset, labels, out, label_column=args.label_col)
-    _write_manifest(out, "synth", args, inputs, started)
+    _write_manifest(args, inputs, started, out)
     return 0
 
 
@@ -236,7 +238,7 @@ def _cmd_graph(args) -> int:
     graph = _build_from_flags(args, dataset)
     out = _out_path(args.out)
     save_graph(graph, out)
-    _write_manifest(out, "graph", args, inputs, started)
+    _write_manifest(args, inputs, started, out)
     _warn_non_converged("graph: ", graph.provenance.options["non_converged"],
                         graph.n_vertices)
     return 0
@@ -273,11 +275,12 @@ def _cmd_score(args) -> int:
     rep = report(graph, labels, config)
     out = _out_path(args.out)
     _write_json(out, rep.to_dict())
-    _write_manifest(out, "score", args, inputs, started)
+    outputs = [out]
     if args.per_vertex:
         pv = _out_path(args.per_vertex)
         write_vertex_csv(rep, pv)
-        _write_manifest(pv, "score", args, inputs, started)
+        outputs.append(pv)
+    _write_manifest(args, inputs, started, *outputs)
     return 0
 
 
@@ -319,7 +322,7 @@ def _cmd_sweep(args) -> int:
         _write_json(out, result.to_dict())
     else:
         write_sweep_csv(result, out)
-    _write_manifest(out, "sweep", args, inputs, started)
+    _write_manifest(args, inputs, started, out)
     return 0
 
 
@@ -343,7 +346,7 @@ def _cmd_estimate(args) -> int:
     if args.trace:
         out = _out_path(args.trace)
         _write_json(out, trace.to_dict())
-        _write_manifest(out, "estimate", args, inputs, started)
+        _write_manifest(args, inputs, started, out)
     print(json.dumps(
         {"k": best_k, "fscore": trace.best_fscore, "trials": len(trace.trials)},
         sort_keys=True,
@@ -383,7 +386,7 @@ def _cmd_export(args) -> int:
     rep = report(graph, labels, config)
     out = _out_path(args.out)
     write_vertex_csv(rep, out)
-    _write_manifest(out, "export", args, inputs, started)
+    _write_manifest(args, inputs, started, out)
     return 0
 
 

@@ -15,7 +15,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_array
 from scipy.special import xlogy
 
 from .datasets import Dataset, integer_values
@@ -158,13 +157,6 @@ class RelationshipGraph:
     @property
     def n_edges(self) -> int:
         return int(self.edges_i.size)
-
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed view as CSR: int64 offsets and neighbors (ascending), float64 weights."""
-        n = self.n_vertices
-        upper = csr_array((self.weights, (self.edges_i, self.edges_j)), shape=(n, n))
-        both = upper + upper.T
-        return both.indptr.astype(np.int64), both.indices.astype(np.int64), both.data
 
 
 @dataclass(frozen=True)

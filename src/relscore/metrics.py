@@ -122,15 +122,19 @@ def _check_cover(graph: RelationshipGraph, labels: LabelAssignment) -> None:
         )
 
 
+def _upper_csr(row_counts: np.ndarray, cols: np.ndarray, data: np.ndarray) -> csr_matrix:
+    """Sorted edges i < j as a CSR, no COO step: row i is row_counts[i] of `cols`."""
+    indptr = np.zeros(row_counts.size + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=indptr[1:])
+    return csr_matrix((data, cols, indptr), shape=(row_counts.size,) * 2)
+
+
 def _component_ids(row_counts: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Smallest member vertex of each vertex's component, for the edges
     i < j sorted by (i, j) that give row_counts[i] entries of columns `cols`."""
     n = row_counts.size
-    # sorted rows with ascending columns are a CSR as they stand: no COO step;
     # float64 data is the type connected_components reads, so it is not copied
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=indptr[1:])
-    adj = csr_matrix((np.ones(cols.size), cols, indptr), shape=(n, n))
+    adj = _upper_csr(row_counts, cols, np.ones(cols.size))
     n_comp, raw = connected_components(adj, directed=False)
     smallest = np.full(n_comp, n, dtype=np.int64)
     np.minimum.at(smallest, raw, np.arange(n))
@@ -158,15 +162,18 @@ def classify_neighbors(graph: RelationshipGraph, labels: LabelAssignment,
                        vertex: int) -> VertexTallies:
     """Partition the vertex's neighborhood by label equality.
 
-    Neighbor ids ascend; the tallies are the vertex's entries of the
-    whole-graph pass behind report, so they match it bit for bit.
+    Neighbor ids ascend, as in `_label_weight`'s directed view; the tallies are
+    the vertex's entries of report's whole-graph pass, so they match it bit for bit.
     """
     stats = _compute_stats(graph, labels)
-    vertex = int(vertex)
+    raw, not_int = integer_values(vertex)
+    if raw.ndim or not_int.any():
+        raise MetricsError(f"vertex must be an integer, got {vertex!r}")
+    vertex = int(raw)
     if not 0 <= vertex < stats.n:
         raise MetricsError(f"vertex {vertex} outside 0..{stats.n - 1}")
-    offsets, neighbors, _ = graph.adjacency()
-    ids = neighbors[offsets[vertex]:offsets[vertex + 1]]
+    lo, hi = np.searchsorted(graph.edges_i, (vertex, vertex + 1))
+    ids = np.concatenate((graph.edges_i[graph.edges_j == vertex], graph.edges_j[lo:hi]))
     same = stats.label_ids[ids] == stats.label_ids[vertex]
     return VertexTallies(
         vertex=vertex,
@@ -251,7 +258,7 @@ class _GraphStats:
 def _compute_stats(graph: RelationshipGraph, labels: LabelAssignment) -> _GraphStats:
     """Tallies straight from the sorted upper-triangle edges, with no directed view.
 
-    Vertex v's row of the directed view (`adjacency()`) is its edges (i, v)
+    Vertex v's row of `_label_weight`'s directed view is its edges (i, v)
     by ascending i, then (v, j) by ascending j: in the sorted edge list,
     the ej == v entries and then the ei == v entries, each in list order.
     bincount over ej followed by the unbuffered add.at over ei adds them
@@ -329,12 +336,14 @@ def _label_fscores(graph: RelationshipGraph, labels: LabelAssignment,
 
 def _label_weight(graph: RelationshipGraph, stats: _GraphStats) -> np.ndarray:
     """(L, L) incident weight by (own, neighbor) label, summed in directed-view order."""
-    offsets, dst, w = graph.adjacency()
+    upper = _upper_csr(np.bincount(graph.edges_i, minlength=stats.n), graph.edges_j,
+                       graph.weights)
+    both = upper + upper.T
     lab = stats.label_ids
     n_labels = len(stats.vocabulary)
-    pair_key = np.repeat(lab, np.diff(offsets)) * n_labels + lab[dst]
+    pair_key = np.repeat(lab, np.diff(both.indptr)) * n_labels + lab[both.indices]
     return np.bincount(
-        pair_key, weights=w, minlength=n_labels * n_labels
+        pair_key, weights=both.data, minlength=n_labels * n_labels
     ).reshape(n_labels, n_labels)
 
 

@@ -19,6 +19,15 @@ def make_graph(n, edges, method="external", param=None):
     )
 
 
+def lexsort_adjacency(n, ei, ej, w):
+    """The directed view of the sorted edges (i, j, w): both directions,
+    lexsorted, as CSR offsets, neighbors and weights."""
+    src, dst = np.concatenate([ei, ej]), np.concatenate([ej, ei])
+    w = np.concatenate([w, w])
+    order = np.lexsort((dst, src))
+    return np.searchsorted(src[order], np.arange(n + 1)), dst[order], w[order]
+
+
 def make_labels(ids, vocabulary=None):
     ids = np.asarray(ids, dtype=np.int64)
     if vocabulary is None:

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relscore import datasets, knn
+from relscore import cli, datasets, knn
 from relscore.cli import build_parser, main
 from relscore.graphs import build_graph, save_graph
 from relscore.knn import usable_cores
@@ -119,6 +120,23 @@ class TestGraphScore:
         assert set(rep["labels"]) == {"0", "1", "2"}
         header = pvpath.read_text().split("\n", 1)[0]
         assert header == "id,label,precision,recall,fscore"
+
+    def test_per_vertex_hashes_each_input_once(self, blobs_csv, tmp_path, monkeypatch):
+        gpath = tmp_path / "g.json"
+        assert run("graph", "--data", str(blobs_csv), "--method", "tsne",
+                   "--perplexity", "5", "--out", str(gpath)) == 0
+        hashed, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        outputs = tmp_path / "report.json", tmp_path / "pv.csv"
+        assert run("score", "--graph", str(gpath), "--data", str(blobs_csv),
+                   "--out", str(outputs[0]), "--per-vertex", str(outputs[1])) == 0
+        assert sorted(map(str, hashed)) == sorted([str(gpath), str(blobs_csv)])
+        for out in outputs:
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert set(manifest) == {"command", "flags", "inputs", "tool_version",
+                                     "duration_s"}
+            assert manifest["command"] == "score"
+            assert manifest["inputs"] == {str(p): sha256(p) for p in (gpath, blobs_csv)}
 
     def test_umap_pipeline(self, blobs_csv, tmp_path):
         gpath = tmp_path / "g.json"

@@ -2,12 +2,13 @@
 directed-view pass they replaced.
 
 `directed_view_stats` is that pass, kept here as the slow reference: it
-builds the directed view through `adjacency()` and bincounts it by
-source vertex, and it builds the intra-label components from a COO
-matrix.  Graphs are drawn with hypothesis (derandomized): n = 1..40,
-empty edge lists, isolated vertices, one label, all-distinct labels,
-unused vocabulary entries, and weights spread over e^-20..e^20, so that
-any change in summation order shows in the bytes.
+builds the directed view by lexsorting both directions of every edge
+(`lexsort_adjacency`) and bincounts it by source vertex, and it builds
+the intra-label components from a COO matrix.  Graphs are drawn with
+hypothesis (derandomized): n = 1..40, empty edge lists, isolated
+vertices, one label, all-distinct labels, unused vocabulary entries, and
+weights spread over e^-20..e^20, so that any change in summation order
+shows in the bytes.
 """
 
 import json
@@ -34,13 +35,15 @@ from relscore.graphs import (
 from relscore.metrics import MetricConfig, intra_label_components, report, sweep
 from relscore.optimizer import OptimizerConfig, estimate
 
+from conftest import lexsort_adjacency
+
 
 def directed_view_stats(graph, labels):
     """(stats, component ids, label weight) as the directed-view pass made them."""
     n = graph.n_vertices
     lab = labels.labels
     n_labels = len(labels.vocabulary)
-    offsets, dst, w = graph.adjacency()
+    offsets, dst, w = lexsort_adjacency(n, graph.edges_i, graph.edges_j, graph.weights)
     degree = np.diff(offsets)
     src = np.repeat(np.arange(n), degree)
     same = lab[src] == lab[dst]
@@ -133,6 +136,8 @@ class TestTalliesMatchDirectedView:
     @example(fixed(2, [], [0, 1], ("a", "b")))
     @example(fixed(3, [(0, 1), (0, 2), (1, 2)], [0, 0, 0], ("a",)))
     @example(fixed(4, [(0, 3), (1, 3), (2, 3)], [0, 1, 2, 3], ("d", "c", "b", "a")))
+    @example(fixed(5, [(0, 2), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4)], [0, 1, 0, 1, 0],
+                   ("a", "b")))
     def test_bitwise(self, case):
         graph, labels, config = case
         want, want_components, want_label_weight = directed_view_stats(graph, labels)
@@ -143,6 +148,22 @@ class TestTalliesMatchDirectedView:
         same_bytes(intra_label_components(graph, labels).component_ids, want_components)
         same_bytes(metrics._label_weight(graph, got), want_label_weight)
 
+        offsets, dst, _ = lexsort_adjacency(graph.n_vertices, graph.edges_i,
+                                            graph.edges_j, graph.weights)
+        lab = labels.labels
+        with no_directed_view():
+            tallies = [metrics.classify_neighbors(graph, labels, v)
+                       for v in range(graph.n_vertices)]
+        for v, t in enumerate(tallies):
+            row = dst[offsets[v]:offsets[v + 1]]
+            same = lab[row] == lab[v]
+            assert (t.vertex, t.tp_ids, t.fp_ids) == (
+                v, tuple(row[same].tolist()), tuple(row[~same].tolist()))
+            same_bytes(np.float64([t.tp_weight, t.fp_weight]),
+                       [want.tp_weight[v], want.fp_weight[v]])
+            assert (t.fn_edge_count, t.fn_component_count) == (
+                want.fn_edge[v], want.fn_component[v])
+
         rep, ref = report(graph, labels, config), reference_report(graph, labels, config)
         assert json.dumps(rep.to_dict()) == json.dumps(ref.to_dict())
         for name in ("vertex_precision", "vertex_recall", "vertex_fscore"):
@@ -152,11 +173,11 @@ class TestTalliesMatchDirectedView:
 
 
 def no_directed_view():
-    """Patches under which a call to `adjacency()` or `report()` fails the test."""
+    """Patches under which a call to `_label_weight()` or `report()` fails the test."""
     stack = ExitStack()
-    for owner, name in ((RelationshipGraph, "adjacency"), (metrics, "report")):
+    for name in ("_label_weight", "report"):
         stack.enter_context(mock.patch.object(
-            owner, name, side_effect=AssertionError(f"{name} called")))
+            metrics, name, side_effect=AssertionError(f"{name} called")))
     return stack
 
 

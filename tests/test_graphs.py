@@ -27,7 +27,7 @@ from relscore.graphs import (
     umap_calibration,
 )
 from relscore.knn import exact_knn
-from relscore.metrics import MetricConfig, report, sweep
+from relscore.metrics import MetricConfig, classify_neighbors, report, sweep
 from relscore.optimizer import OptimizerConfig, estimate
 
 from conftest import make_graph, make_labels
@@ -337,13 +337,12 @@ class TestGraphType:
             same_arrays((shuffled.edges_i, shuffled.edges_j, shuffled.weights),
                         (graph.edges_i, graph.edges_j, graph.weights))
 
-    def test_adjacency_ascending(self):
+    def test_neighbors_ascending(self):
         graph = RelationshipGraph(4, [0, 0, 1], [3, 1, 2], [0.3, 0.1, 0.2],
                                   GraphProvenance("external"))
-        offsets, neighbors, weights = graph.adjacency()
-        assert neighbors[offsets[0]:offsets[1]].tolist() == [1, 3]
-        assert weights[offsets[0]:offsets[1]].tolist() == [0.1, 0.3]
-        assert neighbors[offsets[1]:offsets[2]].tolist() == [0, 2]
+        labels = make_labels([0, 0, 0, 0])
+        assert classify_neighbors(graph, labels, 0).tp_ids == (1, 3)
+        assert classify_neighbors(graph, labels, 1).tp_ids == (0, 2)
 
 
 class TestPersistence:
@@ -609,14 +608,6 @@ def lexsort_edges(ei, ej, w):
     return ei[order], ej[order], np.asarray(w, dtype=float)[order]
 
 
-def lexsort_adjacency(n, ei, ej, w):
-    """The directed view adjacency() once built: both directions, lexsorted."""
-    src, dst = np.concatenate([ei, ej]), np.concatenate([ej, ei])
-    w = np.concatenate([w, w])
-    order = np.lexsort((dst, src))
-    return np.searchsorted(src[order], np.arange(n + 1)), dst[order], w[order]
-
-
 def first_duplicate(ei, ej):
     """The message for the later copy of the first pair that repeats, in input order."""
     seen = set()
@@ -644,16 +635,13 @@ def edge_inputs(draw):
 
 
 class TestCsrMatchesLexsort:
-    """The constructor's order check and adjacency()'s CSR against the lexsorts
-    they replaced."""
+    """The constructor's order check against the lexsort it replaced."""
 
     def check(self, n, ei, ej, w):
         graph = RelationshipGraph(n, ei, ej, w, GraphProvenance("external"))
         ref = lexsort_edges(ei, ej, w)
         got = (graph.edges_i, graph.edges_j, graph.weights)
         for a, b in zip(got, ref):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        for a, b in zip(graph.adjacency(), lexsort_adjacency(n, *ref)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("method, k", [("tsne", 5.0), ("tsne", 12.0), ("umap", 6)])

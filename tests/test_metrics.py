@@ -59,6 +59,20 @@ class TestClassifyNeighbors:
         with pytest.raises(MetricsError, match="outside"):
             classify_neighbors(graph, labels, 4)
 
+    @pytest.mark.parametrize("vertex", [2.7, float("nan"), True, np.bool_(True), "1",
+                                        None, [1]])
+    def test_vertex_not_an_integer(self, chain_of_four, vertex):
+        graph, labels = chain_of_four
+        with pytest.raises(MetricsError) as exc:
+            classify_neighbors(graph, labels, vertex)
+        assert str(exc.value) == f"vertex must be an integer, got {vertex!r}"
+
+    @pytest.mark.parametrize("vertex", [2, 2.0, np.int64(2), np.uint8(2)])
+    def test_integral_vertex(self, chain_of_four, vertex):
+        graph, labels = chain_of_four
+        t = classify_neighbors(graph, labels, vertex)
+        assert type(t.vertex) is int and (t.vertex, t.tp_ids) == (2, (1, 3))
+
 
 class TestComponents:
     def test_two_groups_before_bridge(self, two_group_graph):
