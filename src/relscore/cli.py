@@ -33,6 +33,7 @@ from .datasets import (
 )
 from .graphs import (
     GraphError,
+    _checked_prune_eps,
     build_graph,
     build_tsne_graph,  # not called: the benchmark's tracer test reads it
     load_graph,
@@ -229,6 +230,8 @@ def _cmd_synth(args) -> int:
 def _check_prune_eps(args) -> None:
     if args.method != "tsne" and args.prune_eps is not None:
         raise UsageError("--prune-eps applies to --method tsne only")
+    if args.prune_eps is not None:
+        _checked_prune_eps(args.prune_eps, UsageError)
 
 
 def _cmd_graph(args) -> int:

@@ -8,6 +8,7 @@ how they were built.  Only the graph matters downstream: the mapping
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -70,6 +71,14 @@ class GraphProvenance:
                 f"method must be one of {GRAPH_METHODS}, got {self.method!r}"
             )
         object.__setattr__(self, "options", dict(self.options))
+        # JSON has no NaN or Infinity.  A value json cannot write at all
+        # passes here (skipkeys, default=repr) and fails only when saved.
+        try:
+            json.dumps([self.param, self.options], allow_nan=False, skipkeys=True,
+                       default=repr)
+        except ValueError as exc:  # also a circular reference
+            raise GraphError(
+                f"param and options must be JSON (no NaN or Infinity): {exc}") from None
 
 
 def _float_values(values) -> np.ndarray:
@@ -176,6 +185,14 @@ class BandwidthCalibration:
 def default_prune_eps(n_vertices: int) -> float:
     """Scale-aware pruning default, 1e-8/N: well under the uniform weight 1/N^2."""
     return 1e-8 / n_vertices
+
+
+def _checked_prune_eps(prune_eps, error=GraphError) -> float:
+    """prune_eps as a float if it is finite and nonnegative, else `error`."""
+    value = float(prune_eps)
+    if not 0.0 <= value < math.inf:
+        raise error(f"prune_eps must be nonnegative and finite, got {value}")
+    return value
 
 
 def _bisect_bandwidth(row_objective, n, target, tol, skip=None):
@@ -377,11 +394,7 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
     """
     n = dataset.n
     count = neighbor_count("tsne", n, perplexity)
-    if prune_eps is None:
-        prune_eps = default_prune_eps(n)
-    prune_eps = float(prune_eps)
-    if prune_eps < 0:
-        raise GraphError(f"prune_eps must be nonnegative, got {prune_eps}")
+    prune_eps = default_prune_eps(n) if prune_eps is None else _checked_prune_eps(prune_eps)
     nbrs = _neighbor_lists(dataset, count, neighbors, threads)
     cal, p = _tsne_parts(nbrs, perplexity, threads)
 
@@ -528,13 +541,14 @@ def save_graph(graph: RelationshipGraph, path) -> None:
 
     The bytes are those of `json.dumps` of that document (plus
     "options" when there are any) and a newline.  The edges are encoded
-    a slice at a time, straight from the columns: json writes ints with
-    `int.__repr__` and finite floats with `float.__repr__`, as
-    `"[{}, {}, {!r}]".format` does.
+    a slice at a time, straight from the columns, as one join of four
+    pieces per edge: the "[i, " and "j, " texts, looked up in a table of
+    the slice's distinct ids, the weight's `float.__repr__`, and "], ".
+    json writes ints with `int.__repr__` and finite floats with
+    `float.__repr__`, so the text is the same.
     """
     prov = graph.provenance
     ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
-    edge = "[{}, {}, {!r}]".format
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"n": {json.dumps(graph.n_vertices)}, '
                  f'"method": {json.dumps(prov.method)}, '
@@ -543,8 +557,17 @@ def save_graph(graph: RelationshipGraph, path) -> None:
             part = slice(start, start + _EDGE_SLICE)
             if start:
                 fh.write(", ")
-            fh.write(", ".join(map(edge, ei[part].tolist(), ej[part].tolist(),
-                                   w[part].tolist())))
+            size = ei[part].size
+            ids, at = np.unique(np.concatenate((ei[part], ej[part])), return_inverse=True)
+            names = ids.tolist()
+            opens = np.array([f"[{x}, " for x in names], dtype=object)
+            middles = np.array([f"{x}, " for x in names], dtype=object)
+            pieces = ["], "] * (4 * size)
+            pieces[0::4] = opens[at[:size]].tolist()
+            pieces[1::4] = middles[at[size:]].tolist()
+            pieces[2::4] = map(float.__repr__, w[part].tolist())
+            pieces[-1] = "]"
+            fh.write("".join(pieces))
         fh.write("]")
         if prov.options:
             fh.write(f', "options": {json.dumps(prov.options)}')
@@ -580,8 +603,7 @@ def _json_edges(edges: list):
         return (*_json_edges(edges[:t])[:3], f"edges[{t}]: {fault}")
 
 
-def load_graph(path) -> RelationshipGraph:
-    """Read a graph file; errors name it, and a bad edge's index and broken rule."""
+def _read_graph(path) -> RelationshipGraph:
     path = Path(path)
     if not path.is_file():
         raise GraphError(f"no such file: {path}")
@@ -621,3 +643,20 @@ def load_graph(path) -> RelationshipGraph:
     if fault is not None:
         raise GraphError(f"{path}: {fault}")
     return graph
+
+
+def load_graph(path) -> RelationshipGraph:
+    """Read a graph file; errors name it, and a bad edge's index and broken rule.
+
+    The cyclic collector is paused while the file is read: json.load's
+    lists hold no cycles, yet every collection they set off would walk
+    them all.  The collector's state is restored on every exit, so one
+    the caller switched off stays off.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_graph(path)
+    finally:
+        if collecting:
+            gc.enable()

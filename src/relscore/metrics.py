@@ -10,6 +10,7 @@ first, then across labels, so class imbalance cannot dominate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .graphs import (
     GraphError,
     GraphProvenance,
     RelationshipGraph,
+    _checked_prune_eps,
     build_graph,
     build_tsne_graph,  # not called: the benchmark's tracer test reads it
     shared_neighbors,
@@ -69,8 +71,7 @@ class MetricConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise MetricsError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not self.beta > 0.0:
-            raise MetricsError(f"beta must be positive, got {self.beta}")
+        _check_beta(self.beta)
         if not 0.0 < self.quadrant_threshold < 1.0:
             raise MetricsError(
                 f"quadrant_threshold must be in (0, 1), got {self.quadrant_threshold}"
@@ -204,6 +205,11 @@ def _recall(tp_count, fn_edge, fn_component, alpha: float) -> np.ndarray:
     return out
 
 
+def _check_beta(beta) -> None:
+    if not 0.0 < beta < math.inf:
+        raise MetricsError(f"beta must be positive and finite, got {beta}")
+
+
 def _fscore(precision, recall, beta: float) -> np.ndarray:
     b2 = beta * beta
     num = (b2 + 1.0) * precision * recall
@@ -232,8 +238,7 @@ def recall_vertex(tallies: VertexTallies, alpha: float) -> float:
 
 def fscore_vertex(precision: float, recall: float, beta: float) -> float:
     """Weighted harmonic mean of precision and recall; 0 at P = R = 0."""
-    if not beta > 0:
-        raise MetricsError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
         raise MetricsError("precision and recall must lie in [0, 1]")
     return float(_fscore(precision, recall, beta))
@@ -556,6 +561,8 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
         raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
     if method != "tsne" and prune_eps is not None:
         raise MetricsError("prune_eps applies to method 'tsne' only")
+    if prune_eps is not None:
+        _checked_prune_eps(prune_eps, MetricsError)
     ks = sorted(dict.fromkeys(k_values))
     neighbors = shared_neighbors(method, dataset, ks, threads=threads)
     rows = []

@@ -17,7 +17,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr
 
 from .datasets import Dataset, LabelAssignment, integer_values
-from .graphs import GraphError, build_graph, shared_neighbors
+from .graphs import GraphError, _checked_prune_eps, build_graph, shared_neighbors
 from .graphs import build_tsne_graph  # not called: the benchmark's tracer test reads it
 from .metrics import MetricConfig, MetricsError, _balanced_mean, _label_fscores
 
@@ -237,6 +237,8 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
         raise OptimizerError(f"method must be 'tsne' or 'umap', got {method!r}")
     if method != "tsne" and prune_eps is not None:
         raise OptimizerError("prune_eps applies to method 'tsne' only")
+    if prune_eps is not None:
+        _checked_prune_eps(prune_eps, OptimizerError)
     n = dataset.n
     if labels.n != n:
         raise OptimizerError(f"label count {labels.n} != dataset row count {n}")

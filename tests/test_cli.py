@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relscore import cli, datasets, knn
+from relscore import cli, datasets, graphs, knn
 from relscore.cli import build_parser, main
 from relscore.graphs import build_graph, save_graph
 from relscore.knn import usable_cores
@@ -137,6 +137,28 @@ class TestGraphScore:
                                      "duration_s"}
             assert manifest["command"] == "score"
             assert manifest["inputs"] == {str(p): sha256(p) for p in (gpath, blobs_csv)}
+
+    def test_infinite_beta_rejected(self, blobs_csv, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        assert run("graph", "--data", str(blobs_csv), "--method", "tsne",
+                   "--perplexity", "5", "--out", str(gpath)) == 0
+        capsys.readouterr()
+        rpath = tmp_path / "report.json"
+        assert run("score", "--graph", str(gpath), "--data", str(blobs_csv),
+                   "--beta", "inf", "--out", str(rpath)) == 1
+        assert capsys.readouterr().err == "error: beta must be positive and finite, got inf\n"
+        assert not rpath.exists()
+
+    def test_non_finite_graph_provenance_rejected(self, blobs_csv, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text('{"n": 150, "method": "external", "param": NaN, '
+                         '"options": {"note": Infinity}, "edges": [[0, 1, 0.5]]}')
+        rpath = tmp_path / "report.json"
+        assert run("score", "--graph", str(gpath), "--data", str(blobs_csv),
+                   "--out", str(rpath)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {gpath}: param and options must be JSON (no NaN or Infinity): ")
+        assert not rpath.exists()
 
     def test_umap_pipeline(self, blobs_csv, tmp_path):
         gpath = tmp_path / "g.json"
@@ -421,6 +443,26 @@ class TestErrorSurface:
         monkeypatch.setenv("RELSCORE_OUT_DIR", str(tmp_path))
         assert run("synth", "--preset", "three-blobs", "--out", "env.csv") == 0
         assert (tmp_path / "env.csv").is_file()
+
+    @pytest.mark.parametrize("command", ["graph", "sweep", "estimate"])
+    @pytest.mark.parametrize("prune_eps", ["nan", "inf", "-1"])
+    def test_bad_prune_eps_rejected_before_knn(self, blobs_csv, tmp_path, capsys,
+                                               monkeypatch, command, prune_eps):
+        passes = []
+        monkeypatch.setattr(graphs, "exact_knn", lambda *args, **kwargs: passes.append(args))
+        out = tmp_path / ("trace.json" if command == "estimate" else "out.json")
+        flags = {
+            "graph": ("--perplexity", "5", "--out"),
+            "sweep": ("--k-list", "5,10", "--out"),
+            "estimate": ("--k-min", "2", "--k-max", "10", "--budget", "3",
+                         "--n-init", "2", "--trace"),
+        }[command]
+        assert run(command, "--data", str(blobs_csv), "--method", "tsne",
+                   "--prune-eps", prune_eps, *flags, str(out)) == 1
+        value = float(prune_eps)
+        assert capsys.readouterr().err == (
+            f"error: prune_eps must be nonnegative and finite, got {value}\n")
+        assert passes == [] and not out.exists()
 
 
 class TestThreads:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -111,6 +112,12 @@ class TestTsneGraph:
     def test_negative_prune_rejected(self, small_random):
         with pytest.raises(GraphError, match="prune_eps"):
             build_tsne_graph(small_random, 5.0, prune_eps=-1.0)
+
+    @pytest.mark.parametrize("prune_eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prune_rejected(self, small_random, prune_eps):
+        with pytest.raises(GraphError) as exc:
+            build_tsne_graph(small_random, 5.0, prune_eps=prune_eps)
+        assert str(exc.value) == f"prune_eps must be nonnegative and finite, got {prune_eps}"
 
 
 class TestUmapGraph:
@@ -473,6 +480,26 @@ class TestPersistence:
             load_graph(path)
         assert str(exc.value).startswith(f"{path}: method must be one of")
 
+    @pytest.mark.parametrize("header", [
+        '"param": NaN', '"param": -Infinity', '"options": {"note": Infinity}',
+        '"param": NaN, "options": {"note": Infinity}',
+        '"param": 30, "options": {"bounds": [0, {"low": -Infinity}]}',
+    ])
+    def test_non_finite_provenance_names_the_file(self, tmp_path, header):
+        path = self.write(tmp_path, '{"n": 3, "method": "tsne", ' + header
+                          + ', "edges": [[0, 1, 0.5]]}')
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert str(exc.value).startswith(
+            f"{path}: param and options must be JSON (no NaN or Infinity): ")
+
+    def test_bad_edge_named_before_non_finite_provenance(self, tmp_path):
+        path = self.write(tmp_path, '{"n": 3, "method": "tsne", "param": NaN, '
+                                    '"edges": [[0, 1, 0.5], [2, 2, 0.5]]}')
+        with pytest.raises(GraphError) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"{path}: edges[1]: self-loop (2,2)"
+
     def test_edges_in_any_order_sorted_on_load(self, tmp_path):
         path = self.write(tmp_path, '{"n": 4, "method": "external", '
                                     '"edges": [[2, 3, 0.25], [0, 3, 1], [0, 1, 0.5]]}')
@@ -538,7 +565,8 @@ def graphs(draw):
                            st.floats(allow_nan=False, allow_infinity=False)))
     options = draw(st.dictionaries(
         st.text(max_size=4),
-        st.one_of(st.integers(), st.floats(allow_nan=False), st.text(max_size=4)),
+        st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                  st.text(max_size=4)),
         max_size=3,
     ))
     return RelationshipGraph(n, [i for i, _ in chosen], [j for _, j in chosen],
@@ -583,6 +611,26 @@ class TestGraphWriter:
         save_graph(graph, tmp_path / "g.json")
         assert (tmp_path / "g.json").read_bytes() == (json.dumps(doc) + "\n").encode()
 
+    def test_full_slices(self, large_graph, tmp_path):
+        assert large_graph.n_edges > 2 * graphs_module._EDGE_SLICE
+        save_graph(large_graph, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == reference_bytes(large_graph)
+
+    def test_endpoint_ids_near_two_to_the_62(self, tmp_path, monkeypatch):
+        # the id tables hold a slice's distinct ids, never n entries
+        monkeypatch.setattr(graphs_module, "_EDGE_SLICE", 3)
+        n = 2 ** 62
+        pairs = [(0, n - 1), (5, n - 2), (n - 9, n - 8), (n - 9, n - 1), (n - 3, n - 2),
+                 (n - 3, n - 1), (n - 2, n - 1)]
+        graph = RelationshipGraph(n, [i for i, _ in pairs], [j for _, j in pairs],
+                                  [0.5, 1e-300, 3.0, 2.5e16, 0.1, 7.0, 1.0],
+                                  GraphProvenance("external"))
+        save_graph(graph, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == reference_bytes(graph)
+        back = load_graph(tmp_path / "g.json")
+        assert back.edges_i.tolist() == graph.edges_i.tolist()
+        assert back.edges_j.tolist() == graph.edges_j.tolist()
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(graphs(), st.integers(1, 5))
     def test_save_load_save_round_trip(self, tmp_path_factory, graph, slice_edges):
@@ -599,6 +647,91 @@ class TestGraphWriter:
         assert back.edges_j.tobytes() == graph.edges_j.tobytes()
         assert back.weights.tobytes() == graph.weights.tobytes()
         assert back.provenance == graph.provenance
+
+
+class TestFiniteProvenance:
+    @pytest.mark.parametrize("param, options", [
+        (math.nan, {}), (math.inf, {}), (None, {"note": -math.inf}),
+        (2.5, {"runs": [1.0, {"last": np.float64(math.nan)}]}),
+    ], ids=["nan-param", "inf-param", "inf-option", "nested-nan-option"])
+    def test_non_finite_rejected(self, param, options):
+        with pytest.raises(GraphError,
+                           match=r"param and options must be JSON \(no NaN or Infinity\)"):
+            GraphProvenance("tsne", param, options)
+
+    def test_value_that_is_not_json_still_accepted(self):
+        # such a value fails only when the graph is saved, as before
+        options = {"ids": np.arange(2), (1, 2): 3.0, "steps": np.int64(4)}
+        assert GraphProvenance("external", None, options).options == options
+
+
+@pytest.fixture(scope="module")
+def large_graph():
+    """70,000 edges over 400 vertices: more than two write slices, and a parse
+    that sets off collections when the collector runs."""
+    rng = np.random.Generator(np.random.PCG64(14))
+    ei, ej = np.triu_indices(400, 1)
+    keep = np.sort(rng.choice(ei.size, 70_000, replace=False))
+    weights = 10.0 ** rng.uniform(-300, 300, keep.size)
+    return RelationshipGraph(400, ei[keep], ej[keep], weights,
+                             GraphProvenance("tsne", 30.0, {"prune_eps": 1e-8}))
+
+
+@pytest.fixture(scope="module")
+def large_graph_text(large_graph, tmp_path_factory):
+    path = tmp_path_factory.mktemp("large") / "g.json"
+    save_graph(large_graph, path)
+    return path.read_text()
+
+
+class TestLoadPausesCollector:
+    """load_graph runs no cyclic collection and leaves the collector as it found it."""
+
+    FILES = {
+        "valid": lambda text: text,
+        "invalid-json": lambda text: text[:-10],
+        "bad-edge": lambda text: text.replace('"edges": [', '"edges": [[5, 5, 1.0], ', 1),
+    }
+
+    def load(self, tmp_path, text, kind):
+        path = tmp_path / "g.json"
+        path.write_text(self.FILES[kind](text))
+        if kind == "valid":
+            return load_graph(path)
+        with pytest.raises(GraphError, match="invalid JSON" if kind == "invalid-json"
+                           else r"edges\[0\]: self-loop"):
+            load_graph(path)
+
+    def test_no_collection_while_loading(self, large_graph, large_graph_text, tmp_path):
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            graph = self.load(tmp_path, large_graph_text, "valid")
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == []
+        assert graph.weights.tobytes() == large_graph.weights.tobytes()
+
+    @pytest.mark.parametrize("kind", list(FILES))
+    def test_collector_enabled_again(self, large_graph_text, tmp_path, kind):
+        assert gc.isenabled()
+        self.load(tmp_path, large_graph_text, kind)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("kind", list(FILES))
+    def test_collector_the_caller_disabled_stays_disabled(self, large_graph_text,
+                                                          tmp_path, kind):
+        gc.disable()
+        try:
+            self.load(tmp_path, large_graph_text, kind)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 def lexsort_edges(ei, ej, w):

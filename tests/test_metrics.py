@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -359,3 +361,13 @@ class TestConfig:
     def test_beta_positive(self, beta):
         with pytest.raises(MetricsError):
             MetricConfig(beta=beta)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
+    def test_beta_finite(self, beta):
+        message = f"beta must be positive and finite, got {beta}"
+        with pytest.raises(MetricsError) as exc:
+            MetricConfig(beta=beta)
+        assert str(exc.value) == message
+        with pytest.raises(MetricsError) as exc:
+            fscore_vertex(0.5, 0.5, beta)
+        assert str(exc.value) == message

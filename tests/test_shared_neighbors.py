@@ -209,6 +209,16 @@ class TestSweepSharesOnePass:
         assert calls == {"relscore.graphs": 0}
 
 
+    @pytest.mark.parametrize("prune_eps", [float("nan"), float("inf"), -1.0])
+    def test_bad_prune_eps_rejected_before_the_pass(self, blobs, monkeypatch, prune_eps):
+        data, labels = blobs
+        calls = count_calls(monkeypatch, graphs)
+        with pytest.raises(MetricsError,
+                           match="prune_eps must be nonnegative and finite, got"):
+            sweep(data, labels, "tsne", [10, 20], prune_eps=prune_eps)
+        assert calls == {"relscore.graphs": 0}
+
+
 class TestEstimateSharesOnePass:
     @pytest.mark.parametrize("method, k_max", [("umap", 40), ("tsne", 60)])
     def test_trace_equals_per_k_builds(self, blobs, monkeypatch, method, k_max):
@@ -231,4 +241,14 @@ class TestEstimateSharesOnePass:
         with pytest.raises(OptimizerError,
                            match="prune_eps applies to method 'tsne' only"):
             estimate(data, labels, "umap", config, prune_eps=0.5)
+        assert calls == {"relscore.graphs": 0}
+
+    @pytest.mark.parametrize("prune_eps", [float("nan"), float("inf"), -1.0])
+    def test_bad_prune_eps_rejected_before_the_pass(self, blobs, monkeypatch, prune_eps):
+        data, labels = blobs
+        config = OptimizerConfig(k_min=2, k_max=20, n_init=2, budget=3)
+        calls = count_calls(monkeypatch, graphs)
+        with pytest.raises(OptimizerError,
+                           match="prune_eps must be nonnegative and finite, got"):
+            estimate(data, labels, "tsne", config, prune_eps=prune_eps)
         assert calls == {"relscore.graphs": 0}
