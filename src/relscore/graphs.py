@@ -195,13 +195,21 @@ def _checked_prune_eps(prune_eps, error=GraphError) -> float:
     return value
 
 
-def _bisect_bandwidth(row_objective, n, target, tol, skip=None):
+def _bisect_bandwidth(row_objective, n, target, tol, skip=None, screen=None):
     """Per-row bisection of a monotone-increasing objective over log10(sigma).
 
     row_objective(rows, sigma) evaluates the target quantity for the given
     row indices at the given bandwidths.  Rows that never reach the
     tolerance get their bandwidth clamped to the search bound on the
     unreachable side and stay flagged as non-converged.
+
+    screen(rows, sigma), if given, stands in for row_objective inside the
+    loop.  It returns (approx, margin, exact): approximations whose
+    distance from row_objective's values is at most `margin`, and
+    exact(mask), row_objective's values for the masked rows, to be called
+    before the next screen call.  A row keeps its approximation only where
+    that decides both tests of the step, so every output is the same as
+    without the screen.
     """
     lo = np.full(n, _SIGMA_LOG10_MIN)
     hi = np.full(n, _SIGMA_LOG10_MAX)
@@ -216,7 +224,16 @@ def _bisect_bandwidth(row_objective, n, target, tol, skip=None):
             break
         mid = 0.5 * (lo[active] + hi[active])
         s = np.power(10.0, mid)
-        got = row_objective(active, s)
+        if screen is None:
+            got = row_objective(active, s)
+        else:
+            got, margin, exact = screen(active, s)
+            # outside `close` the exact value lies more than tol from target,
+            # on got's side: done and too_high below come out as they would
+            # for it.  Written so that a NaN approximation is close.
+            close = ~(np.abs(got - target) > tol + margin)
+            if close.any():
+                got[close] = exact(close)
         sigma[active] = s
         achieved[active] = got
         done = np.abs(got - target) <= tol
@@ -228,6 +245,7 @@ def _bisect_bandwidth(row_objective, n, target, tol, skip=None):
     if active.size:
         # unreachable target: clamp to the bound on the side the search
         # was pushing toward and report the value actually achieved there
+        # (a screened achieved value is on the exact one's side of target)
         under = achieved[active] < target
         sigma[active[under]] = 10.0 ** _SIGMA_LOG10_MAX
         sigma[active[~under]] = 10.0 ** _SIGMA_LOG10_MIN
@@ -334,22 +352,103 @@ def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
     return BandwidthCalibration(sigma, achieved, target, converged), weights
 
 
+def _tsne_screen_scale(k: int) -> float:
+    """m such that m (got' + target + tol) is the t-SNE screen's margin over k candidates.
+
+    Notation per row (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1): u = 2^-53, gamma_m = m u / (1 - m u), and LIB =
+    2^-40, an assumed bound on the relative error of np.exp, np.log,
+    np.exp2 and of the libm log inside xlogy for normal results: about
+    4096 ulps, against the few ulps these functions promise.  Both paths
+    share t_j = -d2s_j / c (c = 2 sigma^2), e_j = exp(t_j) in [0, 1] with
+    e_0 = 1, and S, the sum of the e_j.  Take as reference G = -sum q_j
+    ln q_j, q_j = e_j / S in exact arithmetic.  The sum of the e_j is
+    S (1 + theta), |theta| <= gamma_k, and every entropy below, exact,
+    screened or rounded, is at most l = ln k + 1; errors are written to
+    first order, the slack of the constants holding the rest.
+    - A normal e_j is exp(t_j) (1 + delta), |delta| <= LIB, so ln e_j is
+      within 1.01 LIB of t_j, and G = (1 + theta) ln S + T + rho with
+      T = -sum e_j t_j / S and |rho| <= 1.02 LIB.
+    - The screen's got' = exp(log S - einsum(e, t) / S): the einsum's k
+      products and k - 1 adds in any order and the division by S put
+      gamma_{k+1} l on T, log puts LIB l on ln S, the subtraction 2 u l,
+      exp 1.01 LIB on ln got'.  So |ln got' - G| <= (LIB + 2u + 2
+      gamma_{k+1}) l + 2.03 LIB.
+    - The exact path rounds p_j = e_j / S by u; its xlogy term p_j log p_j
+      is within (LIB + 3u) q_j |ln q_j| + 1.01 u q_j of q_j ln q_j,
+      1.02 u + (LIB + 3u) l summed; its pairwise sum adds gamma_k l, the
+      division by _LN2 (ln 2 within LIB, then rounded) (LIB + 2u) l and
+      exp2 1.01 LIB.  So |ln got - G| <= (2 LIB + 5u + gamma_k) l +
+      1.01 LIB + 1.02 u.
+    - A term whose e_j or p_j is subnormal or zero falls outside these
+      relative bounds.  With e_j = 0 it is 0 on both paths (or NaN for
+      t_j = -inf, which the rule sends to the exact path); otherwise
+      |t_j| < 746, and each path's term, together with the underflow of a
+      product e_j t_j, is below 2^-1011: an absolute floor k 2^-1000 on
+      the entropy.
+    Their sum, Delta <= (l + 1) (4 LIB + 3 gamma_{k+1}) + k 2^-1000,
+    bounds |ln got - ln got'|, so |got - got'| <= 1.01 Delta got'.  The
+    factor 2 in m covers that 1.01 and the roundings of m, of the margin
+    and of the rule's test, each below 4u (got' + target + tol); the
+    exact path's own test then sees |got - target| above tol by more
+    than its rounding.
+    """
+    lib = 2.0 ** -40
+    ku = (k + 1) * 2.0 ** -53
+    return 2.0 * ((math.log(k) + 2.0) * (4.0 * lib + 3.0 * ku / (1.0 - ku)) + k * 2.0 ** -1000)
+
+
 def _tsne_rows(distances: np.ndarray, perplexity: float):
     d2 = distances * distances
-    d2s = d2 - d2[:, :1]  # shift by the row minimum: conditionals unchanged
+    nd2s = d2 - d2[:, :1]  # shift by the row minimum: conditionals unchanged
+    del d2
+    np.negative(nd2s, out=nd2s)  # once here, not in every evaluation
+    target = float(perplexity)
+    scale = _tsne_screen_scale(nd2s.shape[1])
+
+    def exponents(rows, sigma, out=None):  # a new array unless `out` is given
+        t = np.take(nd2s, rows, axis=0, out=out)
+        t /= (2.0 * np.square(sigma))[:, None]
+        return t
 
     def conditionals(rows, sigma):
-        e = np.exp(-d2s[rows] / (2.0 * np.square(sigma))[:, None])
-        return e / e.sum(axis=1, keepdims=True)
+        e = exponents(rows, sigma)
+        np.exp(e, out=e)
+        e /= e.sum(axis=1, keepdims=True)
+        return e
+
+    def perplexities(p):
+        return np.exp2(-xlogy(p, p).sum(axis=1) / _LN2)
 
     def row_objective(rows, sigma):
-        p = conditionals(rows, sigma)
-        h_bits = -xlogy(p, p).sum(axis=1) / _LN2
-        return np.exp2(h_bits)
+        return perplexities(conditionals(rows, sigma))
 
-    n = d2s.shape[0]
+    # the screen's t and e, reused by every step: fresh arrays of a new
+    # size each step raised peak RSS by about 3.5 MB on 3000 points, 2 threads
+    buffers = np.empty((2, *nd2s.shape))
+
+    def screen(rows, sigma):
+        # Hbeta of van der Maaten & Hinton (2008): H = ln S + sum e_j d_j / (2 sigma^2 S)
+        t = exponents(rows, sigma, out=buffers[0, :rows.size])
+        e = np.exp(t, out=buffers[1, :rows.size])
+        total = e.sum(axis=1)
+        got = np.einsum("ij,ij->i", e, t)
+        got /= total
+        np.subtract(np.log(total), got, out=got)
+        np.exp(got, out=got)
+
+        def exact(close):
+            p = e[close]
+            p /= total[close, None]
+            return perplexities(p)
+
+        return got, scale * (got + (target + CALIBRATION_TOL)), exact
+
+    n = nd2s.shape[0]
+    # the margin assumes e_j <= 1, so rows out of ascending order go unscreened
     sigma, achieved, converged = _bisect_bandwidth(
-        row_objective, n, float(perplexity), CALIBRATION_TOL
+        row_objective, n, target, CALIBRATION_TOL,
+        screen=None if (nd2s > 0.0).any() else screen
     )
     return sigma, achieved, converged, conditionals(np.arange(n), sigma)
 
@@ -549,10 +648,13 @@ def save_graph(graph: RelationshipGraph, path) -> None:
     """
     prov = graph.provenance
     ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
+    # encoded before the file is opened: a value json cannot write leaves no file behind
+    head = (f'{{"n": {json.dumps(graph.n_vertices)}, '
+            f'"method": {json.dumps(prov.method)}, '
+            f'"param": {json.dumps(prov.param)}, "edges": [')
+    tail = "]" + (f', "options": {json.dumps(prov.options)}' if prov.options else "") + "}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"n": {json.dumps(graph.n_vertices)}, '
-                 f'"method": {json.dumps(prov.method)}, '
-                 f'"param": {json.dumps(prov.param)}, "edges": [')
+        fh.write(head)
         for start in range(0, graph.n_edges, _EDGE_SLICE):
             part = slice(start, start + _EDGE_SLICE)
             if start:
@@ -568,10 +670,7 @@ def save_graph(graph: RelationshipGraph, path) -> None:
             pieces[2::4] = map(float.__repr__, w[part].tolist())
             pieces[-1] = "]"
             fh.write("".join(pieces))
-        fh.write("]")
-        if prov.options:
-            fh.write(f', "options": {json.dumps(prov.options)}')
-        fh.write("}\n")
+        fh.write(tail)
 
 
 def _json_edges(edges: list):

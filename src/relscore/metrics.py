@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +209,14 @@ def _recall(tp_count, fn_edge, fn_component, alpha: float) -> np.ndarray:
 def _check_beta(beta) -> None:
     if not 0.0 < beta < math.inf:
         raise MetricsError(f"beta must be positive and finite, got {beta}")
+    # _fscore weighs precision by beta^2: where that overflows, inf/inf is NaN
+    with np.errstate(over="ignore"):
+        square = beta * beta
+        finite = square < math.inf and square <= sys.float_info.max  # a float, then an int
+    if not finite:
+        raise MetricsError(
+            f"beta must be small enough that beta^2 is finite (about 1.34e154 for a double), "
+            f"got {beta}")
 
 
 def _fscore(precision, recall, beta: float) -> np.ndarray:

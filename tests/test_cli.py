@@ -149,6 +149,19 @@ class TestGraphScore:
         assert capsys.readouterr().err == "error: beta must be positive and finite, got inf\n"
         assert not rpath.exists()
 
+    def test_beta_with_overflowing_square_rejected(self, blobs_csv, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        assert run("graph", "--data", str(blobs_csv), "--method", "umap",
+                   "--n-neighbors", "5", "--out", str(gpath)) == 0
+        capsys.readouterr()
+        rpath = tmp_path / "report.json"
+        assert run("score", "--graph", str(gpath), "--data", str(blobs_csv),
+                   "--beta", "1e200", "--out", str(rpath)) == 1
+        assert capsys.readouterr().err == (
+            "error: beta must be small enough that beta^2 is finite (about 1.34e154 for a "
+            "double), got 1e+200\n")
+        assert not rpath.exists()
+
     def test_non_finite_graph_provenance_rejected(self, blobs_csv, tmp_path, capsys):
         gpath = tmp_path / "g.json"
         gpath.write_text('{"n": 150, "method": "external", "param": NaN, '

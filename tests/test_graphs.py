@@ -649,6 +649,23 @@ class TestGraphWriter:
         assert back.provenance == graph.provenance
 
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-file"])
+    def test_unwritable_options_leave_no_file(self, tmp_path, existing):
+        # GraphProvenance accepts a value json cannot write; save_graph must
+        # fail before it opens the file, not after the edges are on disk
+        graph = RelationshipGraph(3, [0, 1], [1, 2], [0.5, 0.25],
+                                  GraphProvenance("tsne", 2.0, {"steps": np.int64(3)}))
+        path = tmp_path / "g.json"
+        if existing:
+            path.write_bytes(b"earlier contents\n")
+        with pytest.raises(TypeError, match="int64"):
+            save_graph(graph, path)
+        if existing:
+            assert path.read_bytes() == b"earlier contents\n"
+        else:
+            assert not path.exists()
+
+
 class TestFiniteProvenance:
     @pytest.mark.parametrize("param, options", [
         (math.nan, {}), (math.inf, {}), (None, {"note": -math.inf}),
@@ -976,11 +993,9 @@ def in_window(distances):
     return np.ldexp(distances, -e[:, None]), e
 
 
-def unblocked_tsne_parts(nbrs, perplexity):
-    """t-SNE calibration as it ran before row blocks: one bisection over all
-    rows, on the rows brought into the bandwidth window."""
-    n = nbrs.n
-    distances, exponents = in_window(nbrs.distances)
+def exact_tsne_rows(distances, perplexity):
+    """t-SNE calibration of sorted distance rows as it ran before the entropy
+    screen: xlogy at every bisection step."""
     d2 = distances * distances
     d2s = d2 - d2[:, :1]
 
@@ -993,12 +1008,21 @@ def unblocked_tsne_parts(nbrs, perplexity):
         h_bits = -xlogy(p, p).sum(axis=1) / math.log(2.0)
         return np.exp2(h_bits)
 
+    n = distances.shape[0]
     sigma, achieved, converged = graphs_module._bisect_bandwidth(
         row_objective, n, float(perplexity), CALIBRATION_TOL
     )
+    return sigma, achieved, converged, conditionals(np.arange(n), sigma)
+
+
+def unblocked_tsne_parts(nbrs, perplexity):
+    """t-SNE calibration as it ran before row blocks and the entropy screen:
+    one bisection over all rows, on the rows brought into the bandwidth window."""
+    distances, exponents = in_window(nbrs.distances)
+    sigma, achieved, converged, p = exact_tsne_rows(distances, perplexity)
     cal = BandwidthCalibration(np.ldexp(sigma, exponents), achieved, float(perplexity),
                                converged)
-    return cal, conditionals(np.arange(n), sigma)
+    return cal, p
 
 
 def unblocked_umap_parts(nbrs):
@@ -1027,9 +1051,11 @@ def calibration_input(name):
     blobs, _ = preset("three-blobs", seed=7)
     if name == "blobs":
         return blobs
+    grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
     if name == "duplicate-grid":  # four copies of each point: degenerate UMAP rows at k=3
-        grid = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), axis=-1).reshape(-1, 2)
         return Dataset(np.repeat(grid, 4, axis=0))
+    if name == "duplicate-stack":  # seven copies: t-SNE at perplexity 2 cannot converge
+        return Dataset(np.repeat(grid, 7, axis=0))
     return Dataset(blobs.values * 1e30)  # "blobs-1e30": every row rescaled
 
 
@@ -1045,9 +1071,10 @@ class TestBlockedCalibration:
             self.same(getattr(got, name), getattr(want, name))
         assert got.target == want.target
 
-    @pytest.mark.parametrize("method, k", [("tsne", 2.0), ("tsne", 12.0), ("umap", 3),
-                                           ("umap", 10)])
-    @pytest.mark.parametrize("name", ["blobs", "duplicate-grid", "blobs-1e30"])
+    @pytest.mark.parametrize("name, method, k", [
+        (name, method, k) for name in ("blobs", "duplicate-grid", "blobs-1e30")
+        for method, k in (("tsne", 2.0), ("tsne", 12.0), ("umap", 3), ("umap", 10))
+    ] + [("duplicate-stack", "tsne", 2.0)])
     def test_any_blocks_and_threads_are_bitwise_unblocked(self, name, method, k,
                                                           monkeypatch):
         data = calibration_input(name)
@@ -1069,6 +1096,8 @@ class TestBlockedCalibration:
             assert (in_window(nbrs.distances)[1] != 0).all() and want_cal.all_converged
         if name == "duplicate-grid" and k == 3:
             assert (want_cal.achieved == 3.0).all() and not want_cal.converged.any()
+        if name == "duplicate-stack" and k == 2.0:  # every row clamped, achieved exact there
+            assert (want_cal.sigma == 1e-20).all() and not want_cal.converged.any()
 
         blocks = []
         real_run_blocks = graphs_module.run_blocks
@@ -1196,3 +1225,110 @@ class TestScaleSafeCalibration:
             assert weight[0].get(pair, weight[1].get(pair)) <= 10 * floor
         assert abs(report(got, labels).global_fscore
                    - report(want, labels).global_fscore) <= 1e-3
+
+
+@st.composite
+def distance_rows(draw):
+    """Sorted candidate distance rows for the t-SNE bisection, and a perplexity.
+
+    The rows cover all-equal distances, leading duplicates, a far outlier
+    whose shifted square is inf, scales near 1e-20 where the bandwidth
+    bottoms out and e underflows, distances that make e subnormal at the
+    first step's sigma = 1, and (for some examples) a target at the edge
+    of the tolerance from the exact value at that step.
+    """
+    k = draw(st.integers(2, 10))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "equal", "duplicates", "outlier", "tiny",
+                                     "subnormal"]))
+        exponents = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+        row = np.sort(10.0 ** np.array(exponents))
+        if kind == "equal":
+            row[:] = row[0]
+        elif kind == "duplicates":
+            row[:draw(st.integers(2, k))] = 0.0
+        elif kind == "outlier":
+            row[-1] = 1e200
+        elif kind == "tiny":
+            row *= 1e-20
+        elif kind == "subnormal":  # d^2 / 2 in (708, 745): e below 2^-1022 at sigma = 1
+            row = np.concatenate(([0.0], 37.7 + 0.8e-3 * row[1:]))
+        rows.append(row)
+    distances = np.array(rows)
+    perplexity = draw(st.floats(1.0, k + 1.0))
+    if draw(st.booleans()):
+        # the first step evaluates sigma = 10^((-20 + 20) / 2) = 1; put the target
+        # within a few thousand ulps of the tolerance from the exact value there
+        with np.errstate(all="ignore"):
+            d2 = distances[0] ** 2
+            p = np.exp(-(d2 - d2[0]) / 2.0)
+            p /= p.sum()
+            first = float(np.exp2(-xlogy(p, p).sum() / math.log(2.0)))
+        offset = CALIBRATION_TOL * (1.0 + draw(st.integers(-4096, 4096)) * 2.0 ** -52)
+        perplexity = first + draw(st.sampled_from([-1.0, 1.0])) * offset
+    return distances, perplexity
+
+
+class TestEntropyScreen:
+    """The certified entropy screen of the t-SNE bisection against xlogy at every step."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(distance_rows())
+    def test_screened_rows_are_bitwise_the_exact_bisection(self, case):
+        distances, perplexity = case
+        with np.errstate(all="ignore"):
+            got = graphs_module._tsne_rows(distances, perplexity)
+            want = exact_tsne_rows(distances, perplexity)
+        for a, b in zip(got, want):  # sigma, achieved, converged, conditionals
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_rows_out_of_order_go_unscreened(self, monkeypatch):
+        # the margin holds for rows ascending from their first distance only
+        distances = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
+        want = exact_tsne_rows(distances, 2.0)
+        screens = []
+        real = graphs_module._bisect_bandwidth
+
+        def spy(*args, screen=None, **kwargs):
+            screens.append(screen)
+            return real(*args, screen=screen, **kwargs)
+
+        monkeypatch.setattr(graphs_module, "_bisect_bandwidth", spy)
+        got = graphs_module._tsne_rows(distances, 2.0)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert screens[0] is None
+        graphs_module._tsne_rows(np.sort(distances, axis=1), 2.0)
+        assert screens[1] is not None
+
+    def test_few_row_evaluations_take_the_exact_path(self, blobs, monkeypatch):
+        # only a bisection step within about tol of its target needs xlogy
+        exact, evaluations = [], []
+        real_xlogy, real_bisect = graphs_module.xlogy, graphs_module._bisect_bandwidth
+
+        def counting_xlogy(x, y):
+            exact.append(x.shape[0])
+            return real_xlogy(x, y)
+
+        def counting_bisect(row_objective, n, target, tol, skip=None, screen=None):
+            assert screen is not None
+
+            def counted(fn):
+                def evaluate(rows, sigma):
+                    evaluations.append(rows.size)
+                    return fn(rows, sigma)
+                return evaluate
+
+            return real_bisect(counted(row_objective), n, target, tol, skip, counted(screen))
+
+        monkeypatch.setattr(graphs_module, "xlogy", counting_xlogy)
+        monkeypatch.setattr(graphs_module, "_bisect_bandwidth", counting_bisect)
+        data, _ = blobs
+        for perplexity in (5.0, 30.0):
+            exact.clear()
+            evaluations.clear()
+            cal = tsne_calibration(data, perplexity)
+            assert cal.all_converged
+            assert sum(evaluations) >= 15 * data.n  # about 21 steps per row
+            assert 0 < sum(exact) < 0.1 * sum(evaluations)

@@ -362,6 +362,24 @@ class TestConfig:
         with pytest.raises(MetricsError):
             MetricConfig(beta=beta)
 
+    @pytest.mark.parametrize("beta", [1.3407807929942597e154, 1e200, 10 ** 200])
+    def test_beta_square_finite(self, beta):
+        # beta^2 weighs precision in the F-score: inf there made inf/inf = NaN
+        message = ("beta must be small enough that beta^2 is finite (about 1.34e154 "
+                   f"for a double), got {beta}")
+        with pytest.raises(MetricsError) as exc:
+            MetricConfig(beta=beta)
+        assert str(exc.value) == message
+        with pytest.raises(MetricsError) as exc:
+            fscore_vertex(0.5, 0.5, beta)
+        assert str(exc.value) == message
+
+    def test_largest_beta_with_a_finite_square_is_kept(self):
+        beta = 1.3407807929942596e154
+        assert math.isfinite(beta * beta) and MetricConfig(beta=beta).beta == beta
+        assert fscore_vertex(0.5, 0.25, beta) == 0.25  # F tends to recall as beta grows
+        assert fscore_vertex(0.5, 0.25, 2.0) == 5 * 0.5 * 0.25 / (4 * 0.5 + 0.25)
+
     @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
     def test_beta_finite(self, beta):
         message = f"beta must be positive and finite, got {beta}"
