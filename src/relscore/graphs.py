@@ -19,7 +19,9 @@ import numpy as np
 from scipy.special import xlogy
 
 from .datasets import Dataset, integer_values
-from .knn import NeighborLists, block_rows, check_threads, exact_knn, run_blocks
+from .knn import (
+    NeighborLists, _squared_distances, block_rows, check_threads, exact_knn, run_blocks,
+)
 
 __all__ = [
     "GraphError",
@@ -298,7 +300,13 @@ def build_graph(method: str, dataset: Dataset, k, prune_eps: float | None = None
 
 def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | None,
                     threads: int | None) -> NeighborLists:
-    """The count nearest per vertex: a fresh kNN pass, or a prefix of `neighbors`."""
+    """The count nearest per vertex: a fresh kNN pass, or a prefix of `neighbors`.
+
+    Given lists must be this dataset's: the first and the last column of
+    the prefix are recomputed with `_squared_distances`, the accumulation
+    behind every `exact_knn` distance, and their square roots must equal
+    the listed distances bit for bit.  That costs O(N (k + m)).
+    """
     if neighbors is None:
         return exact_knn(dataset, count, threads=threads)
     if neighbors.n != dataset.n or neighbors.k < count:
@@ -306,7 +314,17 @@ def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | Non
             f"neighbors hold {neighbors.k} per vertex for {neighbors.n} "
             f"vertices, need {count} for {dataset.n}"
         )
-    return neighbors.prefix(count)
+    nbrs = neighbors.prefix(count)
+    values = dataset.values  # (N, m): one gather of the neighbors' rows per column
+    wrong = np.zeros(dataset.n, dtype=bool)
+    for column in {0, count - 1}:
+        got = np.sqrt(_squared_distances(values.T, values[nbrs.indices[:, column]].T))
+        wrong |= got.view(np.int64) != nbrs.distances[:, column].view(np.int64)
+    if wrong.any():
+        row = int(np.argmax(wrong))
+        raise GraphError(f"neighbors row {row}: the listed distances are not this "
+                         "dataset's")
+    return nbrs
 
 
 def _window_exponents(distances: np.ndarray) -> np.ndarray:
@@ -407,8 +425,13 @@ def _tsne_rows(distances: np.ndarray, perplexity: float):
     scale = _tsne_screen_scale(nd2s.shape[1])
 
     def exponents(rows, sigma, out=None):  # a new array unless `out` is given
-        t = np.take(nd2s, rows, axis=0, out=out)
-        t /= (2.0 * np.square(sigma))[:, None]
+        c = (2.0 * np.square(sigma))[:, None]
+        if rows.size == nd2s.shape[0]:  # every row, in order: no gather
+            return np.divide(nd2s, c, out=out)
+        # ids from the bisection's `active` are in range; mode="raise" would
+        # buffer a copy of the gather
+        t = np.take(nd2s, rows, axis=0, out=out, mode="clip")
+        t /= c
         return t
 
     def conditionals(rows, sigma):

@@ -1283,6 +1283,21 @@ class TestEntropyScreen:
         for a, b in zip(got, want):  # sigma, achieved, converged, conditionals
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("fast, libm, points", [
+        (np.exp, math.exp, np.linspace(-708.0, 0.0, 100_001)),  # e_j, normal results
+        (np.exp, math.exp, np.linspace(0.0, 16.0, 100_001)),  # got' up to k e, k < 2**20
+        (np.log, math.log, np.geomspace(1.0, 2.0**20, 100_001)),  # ln S, S in [1, k]
+        (np.exp2, lambda x: 2.0 ** x, np.linspace(0.0, 20.0, 100_001)),  # 2**H, H < 20
+    ], ids=["exp-terms", "exp-entropy", "log-sum", "exp2-entropy"])
+    def test_library_error_within_the_margin_assumption(self, fast, libm, points):
+        # _tsne_screen_scale assumes these numpy functions within 2**-40 of
+        # the true value, relatively; against libm they hold 2**-45 here
+        points = np.concatenate([points, np.random.Generator(np.random.PCG64(24))
+                                 .uniform(points[0], points[-1], 100_000)])
+        got = fast(points)
+        want = np.array([libm(x) for x in points.tolist()])
+        assert (np.abs(got - want) <= 2.0**-45 * want).all()
+
     def test_rows_out_of_order_go_unscreened(self, monkeypatch):
         # the margin holds for rows ascending from their first distance only
         distances = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from relscore import knn as knn_module
 from relscore.datasets import Dataset, preset
 from relscore.knn import (
-    KnnError, _smallest_stable, _squared_distances, euclidean, exact_knn,
+    KnnError, NeighborLists, _smallest_stable, _squared_distances, euclidean, exact_knn,
 )
 from relscore.oracle import MAX_VERTICES, OracleError, brute_force_knn
 
@@ -289,6 +289,161 @@ class TestScreen:
         assert len(fallback) == 3  # k = 7, 8, 9: 4 * (k-th squared distance) overflows
 
 
+def narrow_clusters(n):
+    """Two clusters at distance 1, each 2**-14 wide: too narrow for float32 to order."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    values = np.ldexp(rng.random((n, 2)), -14)
+    values[n // 2:, 0] += 1.0
+    return Dataset(values)
+
+
+def count_fallbacks(monkeypatch):
+    """Record the rows each call of the full-row selection gets."""
+    rows = []
+    real = knn_module._smallest_stable
+
+    def spy(d2, k):
+        rows.append(d2.shape[0])
+        return real(d2, k)
+
+    monkeypatch.setattr(knn_module, "_smallest_stable", spy)
+    return rows
+
+
+class TestFloat32Screen:
+    def test_clusters_below_float32_resolution_fall_back(self, monkeypatch):
+        # within a cluster every squared distance is about 2**-28, below the
+        # screen's rounding, so a row keeps all 29 cluster mates: over 4k
+        data = narrow_clusters(60)
+        fallbacks = count_fallbacks(monkeypatch)
+        for k in (1, 3, 7):
+            got = exact_knn(data, k)
+            want_indices, want_distances = full_row_knn(data, k)
+            assert got.indices.tobytes() == want_indices.tobytes()
+            assert got.distances.tobytes() == want_distances.tobytes()
+        assert fallbacks == [60] * 3
+
+    @pytest.mark.parametrize("data, k, falls", [
+        (narrow_clusters(1500), 5, True),  # every block takes the full-row path
+        (Dataset(np.random.Generator(np.random.PCG64(25)).random((1500, 20))), 100, False),
+    ], ids=["full-row", "screened"])
+    def test_block_temporaries_within_512_kib(self, data, k, falls, monkeypatch):
+        n, budget = data.n, 512 * 1024
+        screens, gathers = [], []
+        real_screen, real_distances = knn_module._screen_block, knn_module._squared_distances
+
+        def screen_spy(*args):
+            a = real_screen(*args)
+            screens.append((a.dtype, a.shape, a.nbytes))
+            return a
+
+        def distances_spy(left, right):
+            d2 = real_distances(left, right)
+            gathers.append(max(left.nbytes, right.nbytes, d2.nbytes))
+            return d2
+
+        monkeypatch.setattr(knn_module, "_screen_block", screen_spy)
+        monkeypatch.setattr(knn_module, "_squared_distances", distances_spy)
+        fallbacks = count_fallbacks(monkeypatch)
+        got = exact_knn(data, k)
+        rows = 2**17 // n  # 87 float32 rows; the full-row path takes 43 of float64
+        assert screens[0] == (np.float32, (rows, n), rows * n * 4)
+        assert max(nbytes for *_, nbytes in screens) <= budget
+        assert max(gathers) <= budget
+        if falls:
+            assert max(fallbacks) == 2**16 // n and sum(fallbacks) == n
+        else:  # the candidates' D came in pieces of at most 2**16 // 20 pairs
+            assert fallbacks == [] and len(gathers) > len(screens)
+        want_indices, want_distances = full_row_knn(data, k)
+        assert got.indices.tobytes() == want_indices.tobytes()
+        assert got.distances.tobytes() == want_distances.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_candidates_hold_under_errors_of_the_bound(self, m, k, monkeypatch):
+        # A replaced by D 4**-e moved by the first-order error sum of the
+        # derivation in exact_knn, (m + 4) 2**-24 b, the worst way: up for
+        # the k nearest, down for every other vertex.  A tight cluster of
+        # 3k + 1 puts every mate within that error, so only eps decides
+        rng = np.random.Generator(np.random.PCG64(18))
+        cluster = 1.0 + 1e-9 * rng.random((3 * k + 1, m))
+        data = Dataset(np.vstack([cluster, np.full((1, m), -0.25), -np.ones((1, m))]))
+        columns = np.ascontiguousarray(data.values.T)
+        y, _, _, e = knn_module._screen_frame(columns)
+        lengths = np.sqrt(np.sum(y.astype(float) ** 2, axis=0))
+        error = (m + 4) * 2.0**-24 * (lengths + lengths.max()) ** 2
+        want_indices, want_distances = full_row_knn(data, k)
+        push = np.full((data.n, data.n), -1.0)
+        np.put_along_axis(push, want_indices, 1.0, axis=1)
+        worst = np.ldexp(_squared_distances(columns[:, :, None], columns[:, None, :]), -2 * e)
+        worst += push * error[:, None]
+        monkeypatch.setattr(knn_module, "_screen_block", lambda y, norms, rows: worst[rows])
+        fallbacks = count_fallbacks(monkeypatch)
+        got = exact_knn(data, k)
+        assert got.indices.tobytes() == want_indices.tobytes()
+        assert got.distances.tobytes() == want_distances.tobytes()
+        assert fallbacks == []  # the screen decided
+
+    def test_too_many_features_fall_back(self, monkeypatch):
+        monkeypatch.setattr(knn_module, "_SCREEN_FEATURES", 3)
+        fallbacks = count_fallbacks(monkeypatch)
+        rng = np.random.Generator(np.random.PCG64(19))
+        for m, falls in ((2, []), (3, [20])):
+            data = Dataset(rng.random((20, m)))
+            got = exact_knn(data, 4)
+            assert fallbacks == falls
+            assert got.indices.tobytes() == full_row_knn(data, 4)[0].tobytes()
+
+
+class TestNeighborListChecks:
+    @pytest.fixture(scope="class")
+    def lists(self):
+        rng = np.random.Generator(np.random.PCG64(20))
+        nbrs = exact_knn(Dataset(rng.random((30, 2))), 6)
+        return nbrs.indices.copy(), nbrs.distances.copy()
+
+    @pytest.mark.parametrize("row, field, column, value, message", [
+        (4, "indices", 2, 4, "row 4: its own vertex"),
+        (9, "indices", 0, 30, r"row 9: an id outside 0\.\.29"),
+        (11, "indices", 5, -1, r"row 11: an id outside 0\.\.29"),
+        (0, "distances", 0, -0.5, "row 0: a negative, NaN or infinite distance"),
+        (3, "distances", 5, np.inf, "row 3: a negative, NaN or infinite distance"),
+        (8, "distances", 2, np.nan, "row 8: distances not ascending"),
+        (17, "distances", 1, 0.0, "row 17: distances not ascending"),
+    ])
+    def test_first_bad_row_named(self, lists, row, field, column, value, message):
+        arrays = {"indices": lists[0].copy(), "distances": lists[1].copy()}
+        arrays[field][row, column] = value
+        arrays["indices"][29, 0] = 29  # a later bad row
+        with pytest.raises(KnnError, match=message):
+            NeighborLists(arrays["indices"], arrays["distances"], 6)
+
+    def test_shapes_and_dtypes_checked(self, lists):
+        indices, distances = lists
+        for args, message in (
+            ((indices.astype(np.int32), distances, 6), "int64 array"),
+            ((indices, distances.astype(np.float32), 6), "float64 array"),
+            ((indices.tolist(), distances, 6), "int64 array"),
+            ((indices, distances, 5), r"\(N, k\) with 1 <= k < N"),
+            ((indices, distances[:, :5], 6), r"\(N, k\) with 1 <= k < N"),
+            ((indices[:, :0], distances[:, :0], 0), r"\(N, k\) with 1 <= k < N"),
+            ((indices[:6], distances[:6], 6), r"\(N, k\) with 1 <= k < N"),
+            ((indices[0], distances[0], 6), r"\(N, k\) with 1 <= k < N"),
+            ((indices, distances, 6.0), r"\(N, k\) with 1 <= k < N"),
+        ):
+            with pytest.raises(KnnError, match=message):
+                NeighborLists(*args)
+
+    def test_equal_distances_in_either_id_order_pass(self):
+        # squared distances an ulp apart (0.05 and 0.049999999999999996
+        # here) share a square root, so (D, id) order need not be (distance,
+        # id) order: the check asks for ascending distances only
+        values = np.random.Generator(np.random.PCG64(21)).integers(0, 30, (400, 2)) / 10.0
+        nbrs = exact_knn(Dataset(values), 20)
+        d, i = nbrs.distances, nbrs.indices
+        assert ((d[:, 1:] == d[:, :-1]) & (i[:, 1:] < i[:, :-1])).any()
+
+
 class TestBlockBound:
     def test_default_block_is_byte_bounded(self, monkeypatch):
         seen = []
@@ -304,7 +459,7 @@ class TestBlockBound:
         rng = np.random.Generator(np.random.PCG64(14))
         data = Dataset(rng.random((30, 2)))
         got = exact_knn(data, 5)
-        assert max(seen) <= 64 * 8 and len(seen) == 15  # 2 rows per block
+        assert max(seen) <= 64 * 8 and len(seen) == 8  # 4 float32 rows per block
         monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 30 * data.n)  # one block
         want = exact_knn(data, 5)
         assert got.indices.tobytes() == want.indices.tobytes()
@@ -340,14 +495,14 @@ class TestThreads:
         rng = np.random.Generator(np.random.PCG64(16))
         data = Dataset(rng.random((30, 2)))
         default = knn_module._BLOCK_DOUBLES
-        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", data.n)  # 1 row per block
-        want = exact_knn(data, 5, threads=1)  # 30 blocks
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", data.n)  # 2 float32 rows per block
+        want = exact_knn(data, 5, threads=1)  # 15 blocks
         assert started == [1]
         got = exact_knn(data, 5, threads=10**9)
         assert started == [1, 3]
         assert got.indices.tobytes() == want.indices.tobytes()
-        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 15 * data.n)
-        exact_knn(data, 5, threads=3)  # 2 blocks
+        monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", 8 * data.n)
+        exact_knn(data, 5, threads=3)  # 2 blocks of 16 and 14 float32 rows
         assert started == [1, 3, 2]
         monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", default)
         exact_knn(data, 5, threads=None)  # 1 block

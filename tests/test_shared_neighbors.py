@@ -20,9 +20,10 @@ from relscore.graphs import (
     build_umap_graph,
     neighbor_count,
 )
-from relscore.knn import KnnError, exact_knn
+from relscore.knn import KnnError, NeighborLists, exact_knn
 from relscore.metrics import MetricsError, sweep
 from relscore.optimizer import OptimizerConfig, OptimizerError, estimate
+from relscore.oracle import brute_force_knn
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,75 @@ class TestBuildersOnSharedLists:
             build_tsne_graph(data, 20, neighbors=shared, threads=threads)
         with pytest.raises(KnnError, match="threads must be positive"):
             build_umap_graph(data, 15, neighbors=shared, threads=threads)
+
+
+class TestGivenListsChecked:
+    """Lists passed as `neighbors=` must be valid lists, and this dataset's."""
+
+    @pytest.fixture(scope="class")
+    def lists(self, blobs):
+        nbrs = exact_knn(blobs[0], 45)
+        return nbrs.indices.copy(), nbrs.distances.copy()
+
+    def test_reversed_rows_rejected(self, blobs, lists):
+        indices, distances = lists
+        with pytest.raises(KnnError, match="neighbor lists row 0: distances not ascending"):
+            build_umap_graph(blobs[0], 15, neighbors=NeighborLists(
+                indices[:, ::-1].copy(), distances[:, ::-1].copy(), 45))
+
+    def test_shuffled_rows_rejected(self, blobs, lists):
+        indices, distances = (a.copy() for a in lists)
+        order = np.random.Generator(np.random.PCG64(22)).permutation(45)
+        indices[12], distances[12] = indices[12, order], distances[12, order]
+        with pytest.raises(KnnError, match="neighbor lists row 12: distances not ascending"):
+            NeighborLists(indices, distances, 45)
+        # whole rows of other vertices: ascending, but not these vertices' lists
+        indices, distances = (a.copy() for a in lists)
+        indices[[5, 140]], distances[[5, 140]] = indices[[140, 5]], distances[[140, 5]]
+        for build in (build_umap_graph, build_tsne_graph):
+            with pytest.raises(GraphError, match="neighbors row 5: the listed distances "
+                                                 "are not this dataset's"):
+                build(blobs[0], 15, neighbors=NeighborLists(indices, distances, 45))
+
+    def test_foreign_lists_rejected(self, blobs):
+        # the lists of another draw of the same preset: valid lists, equal N
+        foreign = exact_knn(preset("three-blobs", seed=8)[0], 45)
+        with pytest.raises(GraphError, match="neighbors row 0: the listed distances "
+                                             "are not this dataset's"):
+            build_umap_graph(blobs[0], 15, neighbors=foreign)
+
+    def test_last_prefix_column_one_ulp_off_rejected(self, blobs, lists):
+        indices, distances = (a.copy() for a in lists)
+        distances[77, 14:] = np.nextafter(distances[77, 14:], np.inf)  # still ascending
+        nbrs = NeighborLists(indices, distances, 45)
+        with pytest.raises(GraphError, match="neighbors row 77"):
+            build_umap_graph(blobs[0], 15, neighbors=nbrs)
+        build_umap_graph(blobs[0], 14, neighbors=nbrs)  # columns 0 and 13 are intact
+
+    def test_self_entry_rejected(self, blobs, lists):
+        indices, distances = (a.copy() for a in lists)
+        indices[4, 3] = 4
+        with pytest.raises(KnnError, match="neighbor lists row 4: its own vertex"):
+            build_umap_graph(blobs[0], 15, neighbors=NeighborLists(indices, distances, 45))
+
+    def test_out_of_range_id_rejected(self, blobs, lists):
+        indices, distances = (a.copy() for a in lists)
+        indices[9, 44] = 150
+        with pytest.raises(KnnError, match=r"neighbor lists row 9: an id outside 0\.\.149"):
+            build_umap_graph(blobs[0], 15, neighbors=NeighborLists(indices, distances, 45))
+
+    def test_oracle_lists_build_the_same_graphs(self, blobs):
+        # an independent producer passes the bitwise check; a decimal grid
+        # has distances equal in either id order (see NeighborLists)
+        grid = Dataset(np.random.Generator(np.random.PCG64(23))
+                       .integers(0, 30, size=(150, 2)) / 10.0)
+        for data in (blobs[0], grid):
+            oracle = brute_force_knn(data, 45)
+            assert oracle.indices.tobytes() == exact_knn(data, 45).indices.tobytes()
+            assert_same_graph(build_umap_graph(data, 15, neighbors=oracle),
+                              build_umap_graph(data, 15))
+            assert_same_graph(build_tsne_graph(data, 15, neighbors=oracle),
+                              build_tsne_graph(data, 15))
 
 
 class TestSweepSharesOnePass:
