@@ -33,6 +33,7 @@ from .datasets import (
 )
 from .graphs import (
     GraphError,
+    _BUILD_METHODS,
     _checked_prune_eps,
     build_graph,
     build_tsne_graph,  # not called: the benchmark's tracer test reads it
@@ -130,6 +131,12 @@ def _add_data_flags(parser: _Parser) -> None:
     parser.add_argument("--labels", default=None,
                         help="optional external label CSV (columns id,label) "
                              "overriding the dataset's label column")
+
+
+def _add_method_flags(parser: _Parser) -> None:
+    parser.add_argument("--method", required=True, choices=_BUILD_METHODS)
+    parser.add_argument("--prune-eps", type=float, default=None,
+                        help="drop t-SNE weights at or below this (default: 1e-8/N)")
 
 
 def _add_metric_flags(parser: _Parser) -> None:
@@ -425,13 +432,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("graph", help="build a t-SNE or UMAP relationship graph")
     _add_data_flags(p)
-    p.add_argument("--method", required=True, choices=("tsne", "umap"))
+    _add_method_flags(p)
     p.add_argument("--perplexity", type=float, default=None,
                    help="t-SNE effective neighborhood size (>= 2)")
     p.add_argument("--n-neighbors", type=int, default=None,
                    help="UMAP neighborhood size (>= 2)")
-    p.add_argument("--prune-eps", type=float, default=None,
-                   help="drop t-SNE weights at or below this (default: 1e-8/N)")
     p.add_argument("--out", required=True, help="output graph JSON")
     _add_common(p)
     p.set_defaults(handler=_cmd_graph)
@@ -451,7 +456,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="score a range of neighborhood sizes")
     _add_data_flags(p)
-    p.add_argument("--method", required=True, choices=("tsne", "umap"))
+    _add_method_flags(p)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--k-step", type=int, default=1,
@@ -459,8 +464,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k-list", default=None,
                    help="explicit comma-separated k values (excludes --k-min/max)")
     _add_metric_flags(p)
-    p.add_argument("--prune-eps", type=float, default=None,
-                   help="t-SNE pruning threshold (default: 1e-8/N)")
     p.add_argument("--out", required=True,
                    help="output table; .json for JSON, anything else CSV")
     _add_common(p)
@@ -469,7 +472,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate",
                        help="Bayesian search for the best neighborhood size")
     _add_data_flags(p)
-    p.add_argument("--method", required=True, choices=("tsne", "umap"))
+    _add_method_flags(p)
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--budget", type=int, default=25,
@@ -481,8 +484,6 @@ def build_parser() -> _Parser:
     _add_metric_flags(p)
     p.add_argument("--target", default="global",
                    help="'global' or 'label:NAME' (default: global)")
-    p.add_argument("--prune-eps", type=float, default=None,
-                   help="t-SNE pruning threshold (default: 1e-8/N)")
     p.add_argument("--trace", default=None,
                    help="write the full trial trace to this JSON file")
     _add_common(p)

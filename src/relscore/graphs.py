@@ -48,7 +48,8 @@ class GraphError(ValueError):
     """Invalid graph construction parameters or malformed graph data."""
 
 
-GRAPH_METHODS = ("tsne", "umap", "external")
+_BUILD_METHODS = ("tsne", "umap")  # the methods a builder takes
+GRAPH_METHODS = _BUILD_METHODS + ("external",)
 
 CALIBRATION_TOL = 1e-3
 MAX_BISECTIONS = 200
@@ -191,10 +192,23 @@ def default_prune_eps(n_vertices: int) -> float:
 
 def _checked_prune_eps(prune_eps, error=GraphError) -> float:
     """prune_eps as a float if it is finite and nonnegative, else `error`."""
+    if isinstance(prune_eps, (bool, np.bool_)):
+        raise error(f"prune_eps must be a number, got {prune_eps}")
     value = float(prune_eps)
     if not 0.0 <= value < math.inf:
         raise error(f"prune_eps must be nonnegative and finite, got {value}")
     return value
+
+
+def _check_method(method, prune_eps=None, error=GraphError) -> None:
+    """Raise `error` for a method no builder takes, then for a prune_eps
+    given with UMAP, then for a bad prune_eps; None is no prune_eps."""
+    if method not in _BUILD_METHODS:
+        raise error(f"method must be 'tsne' or 'umap', got {method!r}")
+    if prune_eps is not None:
+        if method != "tsne":
+            raise error("prune_eps applies to method 'tsne' only")
+        _checked_prune_eps(prune_eps, error)
 
 
 def _bisect_bandwidth(row_objective, n, target, tol, skip=None, screen=None):
@@ -259,20 +273,25 @@ def neighbor_count(method: str, n: int, k) -> int:
     """Neighbors per vertex a `method` graph over n vertices reads at size k.
 
     t-SNE reads min(ceil(3*perplexity), N-1) candidates, UMAP reads
-    n_neighbors.  k is validated first, with the builders' messages.
+    n_neighbors.  The method and k are validated first, with the builders'
+    messages.
     """
+    _check_method(method)
     if method == "tsne":
-        _check_perplexity(n, k)
+        if not 2.0 <= float(k) <= n - 1:
+            raise GraphError(f"perplexity must be in [2, {n - 1}], got {k}")
         return min(math.ceil(3.0 * float(k)), n - 1)
-    if method == "umap":
-        _check_n_neighbors(n, k)
-        return int(k)
-    raise GraphError(f"method must be 'tsne' or 'umap', got {method!r}")
+    if integer_values(k)[1].any():
+        raise GraphError(f"n_neighbors must be an integer, got {k}")
+    if not 2 <= k <= n - 1:
+        raise GraphError(f"n_neighbors must be in [2, {n - 1}], got {k}")
+    return int(k)
 
 
 def shared_neighbors(method: str, dataset: Dataset, ks, *,
                      threads: int | None = None) -> NeighborLists | None:
     """One kNN pass (`threads` workers) deep enough for every valid k; None if none is."""
+    _check_method(method)  # so a GraphError below is an invalid k
     check_threads(threads)  # validated even when no pass runs
     counts = []
     for k in ks:
@@ -287,15 +306,13 @@ def build_graph(method: str, dataset: Dataset, k, prune_eps: float | None = None
                 neighbors: NeighborLists | None = None,
                 threads: int | None = None) -> RelationshipGraph:
     """t-SNE graph at perplexity k or UMAP graph at n_neighbors k, picked by `method`."""
+    # a t-SNE prune_eps is checked by the builder, after the perplexity
+    _check_method(method, None if method == "tsne" else prune_eps)
     # called through module globals, so a wrapper on graphs.build_*_graph sees every build
     if method == "tsne":
         return build_tsne_graph(dataset, k, prune_eps, neighbors=neighbors,
                                 threads=threads)
-    if method == "umap":
-        if prune_eps is not None:
-            raise GraphError("prune_eps applies to method 'tsne' only")
-        return build_umap_graph(dataset, k, neighbors=neighbors, threads=threads)
-    raise GraphError(f"method must be 'tsne' or 'umap', got {method!r}")
+    return build_umap_graph(dataset, k, neighbors=neighbors, threads=threads)
 
 
 def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | None,
@@ -476,10 +493,13 @@ def _tsne_rows(distances: np.ndarray, perplexity: float):
     return sigma, achieved, converged, conditionals(np.arange(n), sigma)
 
 
-def _tsne_parts(nbrs: NeighborLists, perplexity: float, threads: int | None):
-    """Calibration and conditionals p_{j|i} over the candidate lists."""
-    return _calibrated(nbrs, float(perplexity),
-                       lambda distances: _tsne_rows(distances, perplexity), threads)
+def _parts(method: str, nbrs: NeighborLists, k, threads: int | None):
+    """Calibration and directed weights over the neighbor lists: t-SNE's
+    conditionals p_{j|i} at perplexity k, or UMAP's memberships."""
+    if method == "tsne":
+        return _calibrated(nbrs, float(k), lambda distances: _tsne_rows(distances, k),
+                           threads)
+    return _calibrated(nbrs, math.log2(nbrs.k), _umap_rows, threads)
 
 
 def tsne_calibration(dataset: Dataset, perplexity: float) -> BandwidthCalibration:
@@ -488,13 +508,7 @@ def tsne_calibration(dataset: Dataset, perplexity: float) -> BandwidthCalibratio
     The kNN pass and the calibration run on the usable cores.
     """
     count = neighbor_count("tsne", dataset.n, perplexity)
-    cal, _ = _tsne_parts(exact_knn(dataset, count), perplexity, None)
-    return cal
-
-
-def _check_perplexity(n, perplexity):
-    if not 2.0 <= float(perplexity) <= n - 1:
-        raise GraphError(f"perplexity must be in [2, {n - 1}], got {perplexity}")
+    return _parts("tsne", exact_knn(dataset, count), perplexity, None)[0]
 
 
 def build_tsne_graph(dataset: Dataset, perplexity: float,
@@ -514,29 +528,31 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
     threads of the kNN pass and of the calibration (see `run_blocks`);
     it never changes a byte.
     """
+    return _build("tsne", dataset, perplexity, prune_eps, neighbors, threads)
+
+
+def _build(method: str, dataset: Dataset, k, prune_eps, neighbors: NeighborLists | None,
+           threads: int | None) -> RelationshipGraph:
+    """The `method` graph at size k: the body of both builders."""
     n = dataset.n
-    count = neighbor_count("tsne", n, perplexity)
-    prune_eps = default_prune_eps(n) if prune_eps is None else _checked_prune_eps(prune_eps)
+    count = neighbor_count(method, n, k)
+    if method == "tsne":
+        floor = default_prune_eps(n) if prune_eps is None else _checked_prune_eps(prune_eps)
+
+        def combine(first, second):  # (p_{j|i} + p_{i|j}) / (2N), in place
+            first += second
+            first /= 2.0 * n
+            return first
+
+        param, options = float(k), {"prune_eps": floor, "candidates": count}
+    else:
+        floor, combine, param, options = 0.0, fuzzy_union, int(k), {}
     nbrs = _neighbor_lists(dataset, count, neighbors, threads)
-    cal, p = _tsne_parts(nbrs, perplexity, threads)
-
-    def weight(first, second):  # (p_{j|i} + p_{i|j}) / (2N), in place
-        first += second
-        first /= 2.0 * n
-        return first
-
-    edges = _pair_edges(n, nbrs.indices, p, weight, prune_eps)
-    del nbrs, p  # freed before the graph copies the edges
-    provenance = GraphProvenance(
-        "tsne",
-        float(perplexity),
-        {
-            "prune_eps": prune_eps,
-            "candidates": count,
-            "non_converged": int(np.count_nonzero(~cal.converged)),
-        },
-    )
-    return RelationshipGraph(n, *edges, provenance)
+    cal, values = _parts(method, nbrs, k, threads)
+    edges = _pair_edges(n, nbrs.indices, values, combine, floor)
+    del nbrs, values  # freed before the graph copies the edges
+    options["non_converged"] = int(np.count_nonzero(~cal.converged))
+    return RelationshipGraph(n, *edges, GraphProvenance(method, param, options))
 
 
 def _pair_edges(n, neighbor_indices, values, combine, floor):
@@ -609,26 +625,13 @@ def _umap_rows(distances: np.ndarray):
     return sigma, achieved, converged, np.exp(-adj / sigma[:, None])
 
 
-def _umap_parts(nbrs: NeighborLists, threads: int | None):
-    """Calibration and directed memberships over the neighbor lists."""
-    return _calibrated(nbrs, math.log2(nbrs.k), _umap_rows, threads)
-
-
 def umap_calibration(dataset: Dataset, n_neighbors: int) -> BandwidthCalibration:
     """Bandwidths solving sum_j exp(-max(0, d_ij - rho_i)/sigma_i) = log2(k).
 
     The kNN pass and the calibration run on the usable cores.
     """
     count = neighbor_count("umap", dataset.n, n_neighbors)
-    cal, _ = _umap_parts(exact_knn(dataset, count), None)
-    return cal
-
-
-def _check_n_neighbors(n, n_neighbors):
-    if integer_values(n_neighbors)[1].any():
-        raise GraphError(f"n_neighbors must be an integer, got {n_neighbors}")
-    if not 2 <= n_neighbors <= n - 1:
-        raise GraphError(f"n_neighbors must be in [2, {n - 1}], got {n_neighbors}")
+    return _parts("umap", exact_knn(dataset, count), n_neighbors, None)[0]
 
 
 def build_umap_graph(dataset: Dataset, n_neighbors: int, *,
@@ -644,18 +647,7 @@ def build_umap_graph(dataset: Dataset, n_neighbors: int, *,
     the worker threads of the kNN pass and of the calibration (see
     `run_blocks`); it never changes a byte.
     """
-    n = dataset.n
-    count = neighbor_count("umap", n, n_neighbors)
-    nbrs = _neighbor_lists(dataset, count, neighbors, threads)
-    cal, memberships = _umap_parts(nbrs, threads)
-    edges = _pair_edges(n, nbrs.indices, memberships, fuzzy_union, 0.0)
-    del nbrs, memberships  # freed before the graph copies the edges
-    provenance = GraphProvenance(
-        "umap",
-        int(n_neighbors),
-        {"non_converged": int(np.count_nonzero(~cal.converged))},
-    )
-    return RelationshipGraph(n, *edges, provenance)
+    return _build("umap", dataset, n_neighbors, None, neighbors, threads)
 
 
 def save_graph(graph: RelationshipGraph, path) -> None:

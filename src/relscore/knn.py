@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, integer_values
 
 __all__ = [
     "NeighborLists", "KnnError", "block_rows", "check_threads", "euclidean",
@@ -173,9 +173,12 @@ def check_threads(threads: int | None) -> int:
     """The worker-thread cap `threads` stands for: None means the usable cores."""
     if threads is None:
         return usable_cores()
+    raw, not_int = integer_values(threads)
+    if raw.ndim or not_int.any():
+        raise KnnError(f"threads must be an integer, got {threads}")
     if threads < 1:
         raise KnnError(f"threads must be positive, got {threads}")
-    return threads
+    return int(raw)
 
 
 def block_rows(width: int) -> int:

@@ -23,7 +23,7 @@ from .graphs import (
     GraphError,
     GraphProvenance,
     RelationshipGraph,
-    _checked_prune_eps,
+    _check_method,
     build_graph,
     build_tsne_graph,  # not called: the benchmark's tracer test reads it
     shared_neighbors,
@@ -566,12 +566,7 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
     threads of that pass and of every build's calibration (see
     `run_blocks`); it never changes a byte.
     """
-    if method not in ("tsne", "umap"):
-        raise MetricsError(f"method must be 'tsne' or 'umap', got {method!r}")
-    if method != "tsne" and prune_eps is not None:
-        raise MetricsError("prune_eps applies to method 'tsne' only")
-    if prune_eps is not None:
-        _checked_prune_eps(prune_eps, MetricsError)
+    _check_method(method, prune_eps, MetricsError)
     ks = sorted(dict.fromkeys(k_values))
     neighbors = shared_neighbors(method, dataset, ks, threads=threads)
     rows = []

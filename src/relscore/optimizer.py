@@ -17,7 +17,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr
 
 from .datasets import Dataset, LabelAssignment, integer_values
-from .graphs import GraphError, _checked_prune_eps, build_graph, shared_neighbors
+from .graphs import GraphError, _check_method, build_graph, shared_neighbors
 from .graphs import build_tsne_graph  # not called: the benchmark's tracer test reads it
 from .metrics import MetricConfig, MetricsError, _balanced_mean, _label_fscores
 
@@ -233,12 +233,7 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     caps the worker threads of that pass and of every trial's
     calibration (see `run_blocks`); it never changes a byte.
     """
-    if method not in ("tsne", "umap"):
-        raise OptimizerError(f"method must be 'tsne' or 'umap', got {method!r}")
-    if method != "tsne" and prune_eps is not None:
-        raise OptimizerError("prune_eps applies to method 'tsne' only")
-    if prune_eps is not None:
-        _checked_prune_eps(prune_eps, OptimizerError)
+    _check_method(method, prune_eps, OptimizerError)
     n = dataset.n
     if labels.n != n:
         raise OptimizerError(f"label count {labels.n} != dataset row count {n}")

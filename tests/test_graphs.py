@@ -940,7 +940,7 @@ class TestAssemblyMatchesStableGrouping:
         nbrs = exact_knn(data, n - 1)
         perplexity = draw.draw(st.floats(2.0, n - 1.0))
         sub = nbrs.prefix(graphs_module.neighbor_count("tsne", n, perplexity))
-        p = graphs_module._tsne_parts(sub, perplexity, None)[1]
+        p = graphs_module._parts("tsne", sub, perplexity, None)[1]
         weights = stable_edges(n, sub.indices, p, "tsne", 0.0)[2]
         for eps in (None, 0.0, *weights.tolist()[:1], *np.unique(weights).tolist()[-1:]):
             want = stable_edges(n, sub.indices, p, "tsne",
@@ -950,7 +950,7 @@ class TestAssemblyMatchesStableGrouping:
             same_arrays((graph.edges_i, graph.edges_j, graph.weights), want)
         k = draw.draw(st.integers(2, n - 1))
         sub = nbrs.prefix(k)
-        want = stable_edges(n, sub.indices, graphs_module._umap_parts(sub, None)[1],
+        want = stable_edges(n, sub.indices, graphs_module._parts("umap", sub, k, None)[1],
                             "umap", 0.0)
         got, graph = self.built("umap", data, k, None, nbrs)
         same_arrays(got, want)
@@ -960,8 +960,7 @@ class TestAssemblyMatchesStableGrouping:
     def test_builders_on_blobs(self, blobs, method, k):
         data, _ = blobs
         nbrs = exact_knn(data, graphs_module.neighbor_count(method, data.n, k))
-        parts = (graphs_module._tsne_parts(nbrs, k, None) if method == "tsne"
-                 else graphs_module._umap_parts(nbrs, None))
+        parts = graphs_module._parts(method, nbrs, k, None)
         floor = default_prune_eps(data.n) if method == "tsne" else 0.0
         want = stable_edges(data.n, nbrs.indices, parts[1], method, floor)
         got, _ = self.built(method, data, k, None, nbrs)
@@ -1080,18 +1079,14 @@ class TestBlockedCalibration:
         data = calibration_input(name)
         n, count = data.n, graphs_module.neighbor_count(method, data.n, k)
         nbrs = exact_knn(data, count)
-        if method == "tsne":
-            want_cal, want_w = unblocked_tsne_parts(nbrs, k)
-            blocked = graphs_module._tsne_parts
-            monkeypatch.setattr(graphs_module, "_tsne_parts", lambda nbrs, perplexity, threads:
-                                unblocked_tsne_parts(nbrs, perplexity))
-        else:
-            want_cal, want_w = unblocked_umap_parts(nbrs)
-            blocked = graphs_module._umap_parts
-            monkeypatch.setattr(graphs_module, "_umap_parts",
-                                lambda nbrs, threads: unblocked_umap_parts(nbrs))
+        want_cal, want_w = (unblocked_tsne_parts(nbrs, k) if method == "tsne"
+                            else unblocked_umap_parts(nbrs))
+        blocked = graphs_module._parts
+        monkeypatch.setattr(graphs_module, "_parts", lambda method, nbrs, k, threads:
+                            unblocked_tsne_parts(nbrs, k) if method == "tsne"
+                            else unblocked_umap_parts(nbrs))
         want_graph = graphs_module.build_graph(method, data, k, neighbors=nbrs)
-        monkeypatch.setattr(graphs_module, f"_{method}_parts", blocked)
+        monkeypatch.setattr(graphs_module, "_parts", blocked)
         if name == "blobs-1e30":  # past the bandwidth window unless rescaled
             assert (in_window(nbrs.distances)[1] != 0).all() and want_cal.all_converged
         if name == "duplicate-grid" and k == 3:
@@ -1109,7 +1104,6 @@ class TestBlockedCalibration:
         monkeypatch.setattr(graphs_module, "run_blocks", counting)
         monkeypatch.setattr(knn_module, "usable_cores", lambda: 3)
         calibrate = tsne_calibration if method == "tsne" else umap_calibration
-        args = (k,) if method == "tsne" else ()
         # one-row blocks cost a bisection loop per row: run them at 3 threads only
         for budget, n_blocks, thread_counts in ((1 << 16, 1, (1, 2, 3)),
                                                 (40 * count, math.ceil(n / 40), (1, 2, 3)),
@@ -1117,7 +1111,7 @@ class TestBlockedCalibration:
             monkeypatch.setattr(knn_module, "_BLOCK_DOUBLES", budget)
             blocks.clear()
             for threads in thread_counts:
-                cal, w = blocked(nbrs, *args, threads)
+                cal, w = blocked(method, nbrs, k, threads)
                 self.check_calibration(cal, want_cal)
                 self.same(w, want_w)
             graph = graphs_module.build_graph(method, data, k, neighbors=nbrs, threads=3)

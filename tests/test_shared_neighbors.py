@@ -7,6 +7,7 @@ runs in `graphs.shared_neighbors`, so `graphs.exact_knn` counts it.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from relscore.graphs import (
     build_tsne_graph,
     build_umap_graph,
     neighbor_count,
+    shared_neighbors,
 )
 from relscore.knn import KnnError, NeighborLists, exact_knn
 from relscore.metrics import MetricsError, sweep
@@ -104,6 +106,103 @@ class TestBuildGraph:
     def test_umap_non_integer_k_message(self, blobs):
         with pytest.raises(GraphError, match="n_neighbors must be an integer, got 7.5"):
             build_graph("umap", blobs[0], 7.5)
+
+
+METHOD = "method must be 'tsne' or 'umap', got 'pca'"
+UMAP_EPS = "prune_eps applies to method 'tsne' only"
+RULE_ENTRIES = ("neighbor_count", "shared_neighbors", "build_graph", "sweep", "estimate")
+RULE_CASES = [
+    ("pca", 10, None, METHOD),
+    ("pca", 150, -1.0, METHOD),  # the method before prune_eps and the size
+    ("umap", 10, 0.5, UMAP_EPS),
+    ("umap", 10, -1.0, UMAP_EPS),  # UMAP's refusal before the value
+    ("umap", 150, 0.5, UMAP_EPS),  # and before n_neighbors
+    ("umap", 10, True, UMAP_EPS),
+    ("tsne", 10, True, "prune_eps must be a number, got True"),
+    ("tsne", 10, np.False_, "prune_eps must be a number, got False"),
+    ("tsne", 10, float("nan"), "prune_eps must be nonnegative and finite, got nan"),
+]
+
+
+class TestOneMethodRule:
+    """Every entry point takes the method rule from `graphs`: its own error
+    type, the same text, the same order, and no kNN pass before it."""
+
+    @staticmethod
+    def call(entry, blobs, method, k, prune_eps):
+        """(error type, thunk) of `entry` at size k; estimate's k is k_max."""
+        data, labels = blobs
+        return {
+            "neighbor_count": (GraphError, lambda: neighbor_count(method, data.n, k)),
+            "shared_neighbors": (GraphError, lambda: shared_neighbors(method, data, [k])),
+            "build_graph": (GraphError, lambda: build_graph(method, data, k, prune_eps)),
+            "sweep": (MetricsError, lambda: sweep(data, labels, method, [k],
+                                                  prune_eps=prune_eps)),
+            "estimate": (OptimizerError, lambda: estimate(
+                data, labels, method, OptimizerConfig(k_min=2, k_max=k, n_init=2, budget=3),
+                prune_eps=prune_eps)),
+        }[entry]
+
+    @pytest.mark.parametrize("entry, method, k, prune_eps, message", [
+        (entry, *case) for case in RULE_CASES for entry in RULE_ENTRIES
+        # neighbor_count and shared_neighbors take no prune_eps
+        if case[2] is None or entry not in RULE_ENTRIES[:2]
+    ])
+    def test_same_text_before_any_pass(self, blobs, monkeypatch, entry, method, k,
+                                       prune_eps, message):
+        error, thunk = self.call(entry, blobs, method, k, prune_eps)
+        calls = count_calls(monkeypatch, graphs)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            thunk()
+        assert calls == {"relscore.graphs": 0}
+
+    @pytest.mark.parametrize("entry, message", [
+        # a builder checks a t-SNE prune_eps after the perplexity; sweep and
+        # estimate check it before any k, as a bad k fails only its own trial
+        ("build_graph", "perplexity must be in [2, 149], got 150"),
+        ("sweep", "prune_eps must be nonnegative and finite, got -1.0"),
+        ("estimate", "prune_eps must be nonnegative and finite, got -1.0"),
+    ])
+    def test_bad_perplexity_and_bad_prune_eps(self, blobs, monkeypatch, entry, message):
+        error, thunk = self.call(entry, blobs, "tsne", 150, -1.0)
+        calls = count_calls(monkeypatch, graphs)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            thunk()
+        assert calls == {"relscore.graphs": 0}
+
+    def test_shared_neighbors_names_an_unknown_method(self, blobs, monkeypatch):
+        calls = count_calls(monkeypatch, graphs)
+        for threads in (None, 0):  # the method is checked first
+            with pytest.raises(GraphError, match="got 'pca'"):
+                shared_neighbors("pca", blobs[0], [10, 20], threads=threads)
+        assert calls == {"relscore.graphs": 0}
+
+    @pytest.mark.parametrize("prune_eps", [True, False, np.True_])
+    def test_boolean_prune_eps_rejected_by_the_builder(self, blobs, prune_eps):
+        with pytest.raises(GraphError, match=f"^prune_eps must be a number, got "
+                                             f"{prune_eps}$"):
+            build_tsne_graph(blobs[0], 10.0, prune_eps=prune_eps)
+
+
+class TestThreadsMustBeIntegers:
+    @pytest.mark.parametrize("threads", [2.5, True, np.True_, [2]])
+    def test_rejected_by_knn_builders_and_sweep(self, blobs, threads):
+        data, labels = blobs
+        message = f"^{re.escape(f'threads must be an integer, got {threads}')}$"
+        with pytest.raises(KnnError, match=message):
+            exact_knn(data, 10, threads=threads)
+        for build in (build_tsne_graph, build_umap_graph):
+            with pytest.raises(KnnError, match=message):
+                build(data, 10, threads=threads)
+        with pytest.raises(KnnError, match=message):
+            sweep(data, labels, "umap", [10, 20], threads=threads)
+
+    def test_integral_values_are_threads(self, blobs):
+        data = blobs[0]
+        want = exact_knn(data, 10, threads=1)
+        for threads in (2.0, np.int64(2)):
+            got = exact_knn(data, 10, threads=threads)
+            assert got.indices.tobytes() == want.indices.tobytes()
 
 
 class TestBuildersOnSharedLists:
