@@ -87,9 +87,14 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list[Path], started: float,
+def _digests(inputs: list[Path]) -> dict[str, str]:
+    """SHA-256 of each input, taken before the command writes anything."""
+    return {str(p): _sha256(p) for p in inputs}
+
+
+def _write_manifest(args: argparse.Namespace, digests: dict[str, str], started: float,
                     *outputs: Path) -> None:
-    """One sidecar per output; each input is hashed once."""
+    """One sidecar per output, with the input digests from `_digests`."""
     flags = {
         key: (str(value) if isinstance(value, Path) else value)
         for key, value in vars(args).items()
@@ -98,7 +103,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path], started: float
     manifest = {
         "command": args.command,
         "flags": flags,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": digests,
         "tool_version": __version__,
         "duration_s": time.monotonic() - started,
     }
@@ -107,10 +112,53 @@ def _write_manifest(args: argparse.Namespace, inputs: list[Path], started: float
 
 
 def _positive_threads(raw: str) -> int:
-    value = int(raw)
+    """--threads as an int, refused in the words of `knn.check_threads`."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
+
+
+# per command: the flags naming files it reads, then those naming files it writes
+_FILE_FLAGS = {
+    "synth": (("spec",), ("out",)),
+    "graph": (("data", "labels"), ("out",)),
+    "score": (("graph", "data", "labels"), ("out", "per_vertex")),
+    "sweep": (("data", "labels"), ("out",)),
+    "estimate": (("data", "labels"), ("trace",)),
+    "verify": (("graph", "data", "labels"), ()),
+    "export": (("graph", "data", "labels"), ("out",)),
+}
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return a.resolve() == b.resolve()
+
+
+def _check_file_flags(args) -> None:
+    """Refuse an output (or its manifest) that names an input or an earlier output.
+
+    Runs before the command touches any file, so nothing is overwritten.
+    """
+    reads, writes = _FILE_FLAGS[args.command]
+    named = [(f"--{flag.replace('_', '-')}", Path(getattr(args, flag)))
+             for flag in reads if getattr(args, flag)]
+    for flag in writes:
+        if getattr(args, flag):
+            option = f"--{flag.replace('_', '-')}"
+            out = _out_path(getattr(args, flag))
+            for name, path in ((option, out),
+                               (f"the manifest of {option}", Path(f"{out}.manifest.json"))):
+                for other, earlier in named:
+                    if _same_file(path, earlier):
+                        raise UsageError(f"{name} names the same file as {other}: {path}")
+                named.append((name, path))
 
 
 def _add_common(parser: _Parser) -> None:
@@ -228,9 +276,10 @@ def _cmd_synth(args) -> int:
         dataset, labels = generate_blobs(spec)
     else:
         raise UsageError("one of --preset, --spec, --centers is required")
+    digests = _digests(inputs)
     out = _out_path(args.out)
     save_dataset(dataset, labels, out, label_column=args.label_col)
-    _write_manifest(args, inputs, started, out)
+    _write_manifest(args, digests, started, out)
     return 0
 
 
@@ -245,10 +294,11 @@ def _cmd_graph(args) -> int:
     started = time.monotonic()
     _check_prune_eps(args)
     dataset, _, inputs = _load_inputs(args)
+    digests = _digests(inputs)
     graph = _build_from_flags(args, dataset)
     out = _out_path(args.out)
     save_graph(graph, out)
-    _write_manifest(args, inputs, started, out)
+    _write_manifest(args, digests, started, out)
     _warn_non_converged("graph: ", graph.provenance.options["non_converged"],
                         graph.n_vertices)
     return 0
@@ -278,6 +328,7 @@ def _build_from_flags(args, dataset):
 def _cmd_score(args) -> int:
     started = time.monotonic()
     graph, labels, inputs = _load_graph_inputs(args)
+    digests = _digests(inputs)
     config = MetricConfig(
         alpha=args.alpha, beta=args.beta,
         quadrant_threshold=args.quadrant_threshold,
@@ -290,7 +341,7 @@ def _cmd_score(args) -> int:
         pv = _out_path(args.per_vertex)
         write_vertex_csv(rep, pv)
         outputs.append(pv)
-    _write_manifest(args, inputs, started, *outputs)
+    _write_manifest(args, digests, started, *outputs)
     return 0
 
 
@@ -319,6 +370,7 @@ def _cmd_sweep(args) -> int:
     started = time.monotonic()
     _check_prune_eps(args)
     dataset, labels, inputs = _load_inputs(args)
+    digests = _digests(inputs)
     k_values = _parse_k_values(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
     result = sweep(dataset, labels, args.method, k_values, config,
@@ -332,7 +384,7 @@ def _cmd_sweep(args) -> int:
         _write_json(out, result.to_dict())
     else:
         write_sweep_csv(result, out)
-    _write_manifest(args, inputs, started, out)
+    _write_manifest(args, digests, started, out)
     return 0
 
 
@@ -340,6 +392,7 @@ def _cmd_estimate(args) -> int:
     started = time.monotonic()
     _check_prune_eps(args)
     dataset, labels, inputs = _load_inputs(args)
+    digests = _digests(inputs)
     config = OptimizerConfig(
         k_min=args.k_min,
         k_max=args.k_max,
@@ -356,7 +409,7 @@ def _cmd_estimate(args) -> int:
     if args.trace:
         out = _out_path(args.trace)
         _write_json(out, trace.to_dict())
-        _write_manifest(args, inputs, started, out)
+        _write_manifest(args, digests, started, out)
     print(json.dumps(
         {"k": best_k, "fscore": trace.best_fscore, "trials": len(trace.trials)},
         sort_keys=True,
@@ -392,11 +445,12 @@ def _cmd_verify(args) -> int:
 def _cmd_export(args) -> int:
     started = time.monotonic()
     graph, labels, inputs = _load_graph_inputs(args)
+    digests = _digests(inputs)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
     rep = report(graph, labels, config)
     out = _out_path(args.out)
     write_vertex_csv(rep, out)
-    _write_manifest(args, inputs, started, out)
+    _write_manifest(args, digests, started, out)
     return 0
 
 
@@ -521,6 +575,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
+        _check_file_flags(args)
         return args.handler(args)
     except (UsageError, DatasetError, GraphError, KnnError, MetricsError,
             OptimizerError, OracleError, OSError) as exc:

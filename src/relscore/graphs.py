@@ -56,7 +56,10 @@ MAX_BISECTIONS = 200
 _SIGMA_LOG10_MIN = -20.0
 _SIGMA_LOG10_MAX = 20.0
 _LN2 = math.log(2.0)
-_EDGE_SLICE = 1 << 15  # edges encoded per write in save_graph
+_EDGE_SLICE = 1 << 14  # edges rendered per write in save_graph
+_WEIGHT_ROWS = 28  # columns of a weight's text in save_graph (see _weight_rows)
+_SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp's constant: halves a double for Dekker's product
+_REPR_MARGIN = 2.0 ** -32  # a certified decision's least distance, in last-digit units
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -654,38 +657,217 @@ def save_graph(graph: RelationshipGraph, path) -> None:
     """Write `{"n", "method", "param", "edges"}` JSON, edges sorted, full precision.
 
     The bytes are those of `json.dumps` of that document (plus
-    "options" when there are any) and a newline.  The edges are encoded
-    a slice at a time, straight from the columns, as one join of four
-    pieces per edge: the "[i, " and "j, " texts, looked up in a table of
-    the slice's distinct ids, the weight's `float.__repr__`, and "], ".
-    json writes ints with `int.__repr__` and finite floats with
-    `float.__repr__`, so the text is the same.
+    "options" when there are any) and a newline: json writes ints with
+    `int.__repr__` and finite floats with `float.__repr__`.  The head and
+    tail are encoded once; the edges are rendered a slice at a time into
+    one byte array (`_edge_bytes`).  A weight's shortest round-trip digits
+    come from a certified computation in integers and double-doubles
+    (`_shortest_digits`).  `float.__repr__` runs only for a weight that the
+    certificate cannot vouch for, so the bytes never depend on the path.
     """
     prov = graph.provenance
     ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
     # encoded before the file is opened: a value json cannot write leaves no file behind
     head = (f'{{"n": {json.dumps(graph.n_vertices)}, '
             f'"method": {json.dumps(prov.method)}, '
-            f'"param": {json.dumps(prov.param)}, "edges": [')
-    tail = "]" + (f', "options": {json.dumps(prov.options)}' if prov.options else "") + "}\n"
-    with open(path, "w", encoding="utf-8") as fh:
+            f'"param": {json.dumps(prov.param)}, "edges": [').encode()
+    tail = ("]" + (f', "options": {json.dumps(prov.options)}' if prov.options else "")
+            + "}\n").encode()
+    decades = np.zeros((5, 2047))  # one column per biased exponent, see _fill_decades
+    with open(path, "wb") as fh:
         fh.write(head)
         for start in range(0, graph.n_edges, _EDGE_SLICE):
             part = slice(start, start + _EDGE_SLICE)
             if start:
-                fh.write(", ")
-            size = ei[part].size
-            ids, at = np.unique(np.concatenate((ei[part], ej[part])), return_inverse=True)
-            names = ids.tolist()
-            opens = np.array([f"[{x}, " for x in names], dtype=object)
-            middles = np.array([f"{x}, " for x in names], dtype=object)
-            pieces = ["], "] * (4 * size)
-            pieces[0::4] = opens[at[:size]].tolist()
-            pieces[1::4] = middles[at[size:]].tolist()
-            pieces[2::4] = map(float.__repr__, w[part].tolist())
-            pieces[-1] = "]"
-            fh.write("".join(pieces))
+                fh.write(b", ")
+            fh.write(_edge_bytes(ei[part], ej[part], w[part], decades)[:-2])
         fh.write(tail)
+
+
+def _edge_bytes(ei: np.ndarray, ej: np.ndarray, w: np.ndarray, decades: np.ndarray) -> np.ndarray:
+    """The text "[i, j, w], " of every edge, as one uint8 array.
+
+    Every edge gets the same columns: "[", the ids' digits right-aligned
+    in as many columns as the slice's largest id needs, ", " twice, the
+    weight's `_WEIGHT_ROWS` columns (`_weight_rows`) and "], ".  A column
+    an edge's text does not use holds 0, and one boolean compress drops
+    those.  The columns are filled as rows of a transposed array, so
+    every write is contiguous.
+    """
+    width = len(str(max(ei.max(), ej.max())))
+    rows = np.empty((2 * width + 8 + _WEIGHT_ROWS, w.size), dtype=np.uint8)
+    rows[:] = np.frombuffer(b"".join((b"[", bytes(width), b", ", bytes(width), b", ",
+                                      bytes(_WEIGHT_ROWS), b"], ")), np.uint8)[:, None]
+    _id_rows(ei, rows[1:1 + width])
+    _id_rows(ej, rows[3 + width:3 + 2 * width])
+    _weight_rows(*_shortest_digits(w, decades), rows[5 + 2 * width:-3])
+    table = np.ascontiguousarray(rows.T)
+    return table[table != 0]
+
+
+def _digit_rows(values: np.ndarray, rows: np.ndarray) -> None:
+    """The last len(rows) decimal digits of nonnegative `values` as ASCII, one row each."""
+    x = values.astype(np.uint32 if len(rows) <= 9 else np.uint64)
+    for row in rows[::-1]:
+        q = x // 10
+        np.subtract(x, q * 10, out=row, casting="unsafe")
+        row += 48
+        x = q
+
+
+def _id_rows(ids: np.ndarray, rows: np.ndarray) -> None:
+    """`ids` in decimal, right-aligned in `rows`, leading zeros as 0 bytes."""
+    _digit_rows(ids, rows)
+    for k, row in enumerate(rows[:-1]):
+        row *= ids >= 10 ** (len(rows) - 1 - k)
+
+
+def _weight_rows(digits: np.ndarray, point: np.ndarray, rows: np.ndarray) -> None:
+    """`float.__repr__` of 0.d1d2...d17 * 10**point in the `_WEIGHT_ROWS` rows of `rows`.
+
+    `digits` holds d1...d17 (d1 > 0) as an int.  Rows: "0", ".", three
+    zeros, 18 rows of the digits with a "." after the digits before the
+    point, then "e", the exponent's sign and three digits; a row an
+    element's text does not use holds 0.  Python writes 1e-4 <= w < 1e16
+    in positional notation ("0.000ddd", "ddd.ddd", "ddd00.0") and any
+    other value as "d.ddde-XX", with no "." for one digit and at least
+    two exponent digits.
+    """
+    figures = np.zeros((18, point.size), dtype=np.uint8)  # row 17 is never read
+    top = digits // 10 ** 8
+    _digit_rows(top, figures[:9])
+    _digit_rows(digits - top * 10 ** 8, figures[9:17])
+    point = point.astype(np.int16)
+    count = np.full(point.size, 17, dtype=np.int16)  # significant digits
+    zeros = np.ones(point.size, dtype=bool)
+    for row in figures[16:0:-1]:
+        zeros &= row == 48
+        count -= zeros
+    sci = (point < -3) | (point > 16)
+    small = ~sci & (point <= 0)  # "0.000ddd": no "." among the digits
+    lead = np.where(sci, 1, np.where(small, 17, point))  # digits before the "."
+    end = np.where(sci, count, np.maximum(count, point + 1))  # digits written
+    k = np.arange(18, dtype=np.int16)[:, None]
+    body = rows[5:23]
+    body[0] = figures[0]
+    body[1:] = np.where(k[1:] < lead, figures[1:], np.where(k[1:] == lead, 46, figures[:17]))
+    body *= k < end + (end > lead)
+    rows[0] = small
+    rows[1] = small
+    rows[2:5] = small & (point < -k[:3])
+    rows[0:5] *= np.array([48, 46, 48, 48, 48], dtype=np.uint8)[:, None]
+    exp = rows[23:]
+    exp[0] = 101
+    exp[1] = np.where(point > 0, 43, 45)  # "+" or "-"
+    exponent = np.abs(point - 1)
+    _digit_rows(exponent, exp[2:])
+    exp[2] *= exponent >= 100
+    exp *= sci
+
+
+def _fill_decades(decades: np.ndarray, biased: np.ndarray) -> None:
+    """Fill the columns of `decades` for the biased exponents in `biased` still empty.
+
+    Column b holds p, then C = 10**p * 2**e in [1e16, 1e17), e = b - 1023,
+    as the double-double hi + lo (hi = fl(C)), then hi's Veltkamp halves.
+    The columns are made with exact integer arithmetic, for the
+    exponents met only, so importing the module costs nothing.  Column 0
+    (subnormals) stays empty.
+    """
+    wanted = (np.bincount(biased, minlength=decades.shape[1]) > 0) & (decades[1] == 0)
+    wanted[0] = False
+    for b in np.flatnonzero(wanted).tolist():
+        e = b - 1023
+        p = 16 - math.floor(e * math.log10(2.0))
+        while True:
+            num, den = 10 ** max(p, 0) << max(e, 0), 10 ** max(-p, 0) << max(-e, 0)
+            if num < 10 ** 16 * den:
+                p += 1
+            elif num >= 10 ** 17 * den:
+                p -= 1
+            else:
+                break
+        hi = num / den  # int true division rounds correctly
+        a, scale = hi.as_integer_ratio()
+        split = hi * _SPLITTER
+        hi_h = split - (split - hi)
+        decades[:, b] = p, hi, (num * scale - a * den) / (den * scale), hi_h, hi - hi_h
+
+
+def _shortest_digits(w: np.ndarray, decades: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits and point of `float.__repr__` of positive finite `w` (see `_weight_rows`).
+
+    For a normal w = m * 2**e, V = m * C (C from `_fill_decades`) is w
+    in units of its 17th significant digit.  m * hi is an exact Dekker
+    two-product, so V is held as the int64 floor(V) plus a fraction, to
+    within 1e-14.  The values that read back as w lie within half an ulp,
+    C * 2**-53 units (a quarter below a power of two): an interval 1.6
+    to 22.3 units wide.  The shortest digits are a multiple of the
+    largest power of ten in it.  At most one multiple of 100 fits, and it
+    is the answer when there is one; otherwise the multiple of 10, or
+    else of 1, nearest V is taken, clamped into the interval.  A value
+    whose interval reaches 1e17 gets 18 digits, the last a zero; that
+    seam is read from the chosen integer, never from a rounded product.
+    Every decision compares a fraction with an integer or with one half.
+    An element with one of them within `_REPR_MARGIN`, or a subnormal,
+    gets its digits from `float.__repr__` instead (`_repr_digits`).
+    """
+    bits = w.view(np.int64)
+    biased = bits >> 52
+    fraction = bits & ((1 << 52) - 1)
+    _fill_decades(decades, biased)
+    p, hi, lo, hi_h, hi_l = decades[:, biased]
+    m = (fraction | (1023 << 52)).view(np.float64)
+    split = m * _SPLITTER
+    m_h = split - (split - m)
+    m_l = m - m_h
+    head = m * hi  # an integer, as it is at least 1e16 > 2**53
+    tail = ((m_h * hi_h - head) + m_h * hi_l + m_l * hi_h) + m_l * hi_l + m * lo
+    whole = np.floor(tail)
+    floor_v = head.astype(np.int64) + whole.astype(np.int64)
+    frac = tail - whole
+    gap = hi * 2.0 ** -53
+    below = frac - np.where((fraction == 0) & (biased > 1), 0.5 * gap, gap)
+    above = frac + gap
+    first, last = np.ceil(below), np.floor(above)
+    certain = (biased > 0) & _clear(first - below) & _clear(above - last)
+    low = floor_v + first.astype(np.int64)
+    high = floor_v + last.astype(np.int64)
+    span = high - low
+    tenth = high // 10  # numpy's % by a constant is several times slower than //
+    tens, hundreds = high - 10 * tenth, high - 100 * (tenth // 10)
+    units = floor_v - 10 * (floor_v // 10)
+    off = units + frac  # V above the multiple of 10 at or below it
+    nearest = floor_v - units + 10 * (off > 5)
+    nearest += 10 * ((nearest < low).astype(np.int64) - (nearest > high))
+    digits = np.where(hundreds <= span, high - hundreds,
+                      np.where(tens <= span, nearest, np.clip(floor_v + (frac > 0.5), low, high)))
+    halfway = np.where(tens <= span, off - 5, frac - 0.5)
+    certain &= (hundreds <= span) | (np.abs(halfway) > _REPR_MARGIN)
+    over = digits >= 10 ** 17
+    digits = np.where(over, digits // 10, digits)
+    point = 17 + over - p.astype(np.int64)
+    if not certain.all():
+        miss = np.flatnonzero(~certain)
+        digits[miss], point[miss] = _repr_digits(w[miss])
+    return digits, point
+
+
+def _clear(distance: np.ndarray) -> np.ndarray:
+    """Whether each `distance` to the integer below is more than `_REPR_MARGIN` from both ends."""
+    return (distance > _REPR_MARGIN) & (distance < 1.0 - _REPR_MARGIN)
+
+
+def _repr_digits(values: np.ndarray) -> tuple[list, list]:
+    """The digits and point (see `_weight_rows`) of `float.__repr__` of `values`."""
+    digits, points = [], []
+    for text in map(float.__repr__, values.tolist()):
+        mantissa, _, exponent = text.partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        figures = (whole + fraction).lstrip("0")
+        digits.append(int(figures.rstrip("0").ljust(17, "0")))
+        points.append(len(figures) - len(fraction) + int(exponent or 0))
+    return digits, points
 
 
 def _json_edges(edges: list):

@@ -6,7 +6,7 @@ import pytest
 
 from relscore import cli, datasets, graphs, knn
 from relscore.cli import build_parser, main
-from relscore.graphs import build_graph, save_graph
+from relscore.graphs import build_graph, load_graph, save_graph
 from relscore.knn import usable_cores
 from relscore.metrics import MetricConfig, sweep, write_sweep_csv
 from relscore.optimizer import OptimizerConfig, estimate
@@ -478,6 +478,70 @@ class TestErrorSurface:
         assert passes == [] and not out.exists()
 
 
+class TestFileCollisions:
+    """An output naming an input or another output is refused before any file is touched."""
+
+    @pytest.fixture
+    def files(self, blobs_csv, tmp_path):
+        graph = tmp_path / "g.json"
+        assert run("graph", "--data", str(blobs_csv), "--method", "umap",
+                   "--n-neighbors", "5", "--out", str(graph)) == 0
+        return {"data": blobs_csv, "graph": graph,
+                "report": tmp_path / "r.out", "export": tmp_path / "e.csv"}
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["graph", "--data", "{data}", "--method", "umap", "--n-neighbors", "5",
+          "--out", "{data}"], ("--out", "--data")),
+        (["score", "--graph", "{graph}", "--data", "{data}", "--out", "{report}",
+          "--per-vertex", "{report}"], ("--per-vertex", "--out")),
+        (["export", "--graph", "{graph}", "--data", "{data}", "--out", "{graph}"],
+         ("--out", "--graph")),
+        (["score", "--graph", "{graph}", "--data", "{data}", "--out", "{report}",
+          "--per-vertex", "{report}.manifest.json"], ("--per-vertex", "the manifest of --out")),
+    ], ids=["graph-over-data", "score-over-own-report", "export-over-graph", "over-manifest"])
+    def test_refused(self, files, tmp_path, capsys, argv, flags):
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(*(arg.format(**files) for arg in argv)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {flags[0]} names the same file as {flags[1]}: ")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_other_spellings_of_one_file_refused(self, files, tmp_path, monkeypatch):
+        (tmp_path / "link.csv").symlink_to(files["data"])
+        monkeypatch.chdir(tmp_path)
+        for out in ("link.csv", f"./{files['data'].name}", str(files["data"])):
+            assert run("graph", "--data", files["data"].name, "--method", "umap",
+                       "--n-neighbors", "5", "--out", out) == 1
+        assert run("graph", "--data", files["data"].name, "--method", "umap",
+                   "--n-neighbors", "5", "--out", "new.json") == 0
+
+    def test_out_dir_applies_before_the_comparison(self, files, tmp_path, monkeypatch):
+        # with RELSCORE_OUT_DIR set, a relative --out lands elsewhere and names no input
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "outputs"))
+        (tmp_path / "outputs").mkdir()
+        assert run("export", "--graph", "g.json", "--data", files["data"].name,
+                   "--out", "g.json") == 0
+        assert (tmp_path / "outputs" / "g.json").exists()
+        assert load_graph(tmp_path / "g.json").n_vertices == 150
+
+    def test_inputs_hashed_before_any_output(self, files, tmp_path, monkeypatch):
+        digest = cli._sha256(files["data"])
+
+        def save_and_touch_input(graph, path):  # an output step that changes an input
+            save_graph(graph, path)
+            with open(files["data"], "a") as fh:
+                fh.write("\n")
+
+        monkeypatch.setattr(cli, "save_graph", save_and_touch_input)
+        out = tmp_path / "g2.json"
+        assert run("graph", "--data", str(files["data"]), "--method", "umap",
+                   "--n-neighbors", "5", "--out", str(out)) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["inputs"] == {str(files["data"]): digest}
+
+
 class TestThreads:
     def test_threads_flag_accepted_and_inert(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -491,6 +555,17 @@ class TestThreads:
     def test_threads_must_be_positive(self, tmp_path):
         assert run("synth", "--preset", "three-blobs", "--threads", "0",
                    "--out", str(tmp_path / "x.csv")) == 1
+
+    @pytest.mark.parametrize("raw, message", [
+        ("2.5", "must be an integer, got '2.5'"),
+        ("x", "must be an integer, got 'x'"),
+        ("0", "must be positive, got 0"),
+    ])
+    def test_bad_count_named_in_check_threads_words(self, tmp_path, capsys, raw, message):
+        out = tmp_path / "x.csv"
+        assert run("synth", "--preset", "three-blobs", "--threads", raw, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: argument --threads: {message}\n"
+        assert not out.exists()
 
     def test_default_is_usable_cores(self):
         args = build_parser().parse_args(["synth", "--preset", "three-blobs",

@@ -666,6 +666,110 @@ class TestGraphWriter:
             assert not path.exists()
 
 
+def written_weights(path, weights):
+    """The weight texts save_graph writes for `weights`, one per edge, in order."""
+    ids = np.arange(len(weights))
+    save_graph(RelationshipGraph(len(weights) + 1, ids, ids + 1, weights,
+                                 GraphProvenance("external")), path)
+    text = path.read_text()
+    body = text[text.index("[[") + 2:text.rindex("]]")]
+    return [edge.split(", ")[2] for edge in body.split("], [")]
+
+
+def neighbors_of(values, steps):
+    """`values` and their first `steps` neighbors on either side."""
+    out = [np.asarray(values, dtype=float)]
+    for toward in (0.0, np.inf):
+        near = out[0]
+        for _ in range(steps):
+            near = np.nextafter(near, toward)
+            out.append(near)
+    return np.concatenate(out)
+
+
+POWERS_OF_TEN = np.array([float(f"1e{p}") for p in range(-323, 309)])
+
+
+class TestWeightText:
+    """The writer's weight text is float.__repr__, element by element."""
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(2.0 ** np.arange(-1022, 1024), id="normal-powers-of-two"),
+        pytest.param(neighbors_of(POWERS_OF_TEN, 1), id="powers-of-ten-and-neighbors"),
+        pytest.param([2.2250738585072014e-308, 1.7976931348623157e308, 5e-324, 1e-323,
+                      2.225073858507201e-308, 1.5e-310, 4.9406564584124654e-320],
+                     id="normal-ends-and-subnormals"),
+        pytest.param(np.arange(1, 100_001, dtype=float), id="integers-to-1e5"),
+        pytest.param(2.0 ** 53 + np.arange(-500, 501), id="two-to-the-53"),
+        pytest.param(neighbors_of([1e-4, 1e16], 300), id="notation-switches"),
+    ])
+    def test_values_write_as_repr(self, tmp_path, values):
+        values = np.asarray(values, dtype=float)
+        assert written_weights(tmp_path / "g.json", values) == [repr(x) for x in values.tolist()]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=1, max_size=60))
+    def test_any_positive_double(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("weights") / "g.json"
+        assert written_weights(path, values) == [repr(x) for x in values]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.lists(st.integers(1, 0x7FEF_FFFF_FFFF_FFFF), min_size=1, max_size=60))
+    def test_any_bit_pattern(self, tmp_path_factory, bits):
+        values = np.array(bits, dtype=np.int64).view(np.float64)
+        path = tmp_path_factory.mktemp("bits") / "g.json"
+        assert written_weights(path, values) == [repr(x) for x in values.tolist()]
+
+    def test_ids_of_every_width_in_one_slice(self, tmp_path):
+        big = 2 ** 62
+        ids = [0, 9, 10, 99, 100, big - 3, big - 1, big, big + 1, big + 3, 2 ** 63 - 2]
+        graph = RelationshipGraph(2 ** 63 - 1, ids[:-1], ids[1:], np.full(len(ids) - 1, 0.5),
+                                  GraphProvenance("external"))
+        save_graph(graph, tmp_path / "g.json")
+        assert (tmp_path / "g.json").read_bytes() == reference_bytes(graph)
+
+    def test_id_columns_hold_any_int64(self):
+        ids = np.array([0, 9, 10, 99, 100, 2 ** 62 - 1, 2 ** 62 + 1, 2 ** 63 - 1])
+        rows = np.empty((19, ids.size), dtype=np.uint8)
+        graphs_module._id_rows(ids, rows)
+        assert [bytes(col).replace(b"\0", b"").decode() for col in rows.T] == \
+            [str(i) for i in ids.tolist()]
+
+
+def count_fallbacks(monkeypatch):
+    """A list that receives the number of weights each call sends to float.__repr__."""
+    calls, original = [], graphs_module._repr_digits
+
+    def counted(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(graphs_module, "_repr_digits", counted)
+    return calls
+
+
+class TestReprFallback:
+    def test_every_weight_falling_back_writes_the_same_bytes(self, large_graph, small_random,
+                                                             tmp_path, monkeypatch):
+        calls = count_fallbacks(monkeypatch)
+        monkeypatch.setattr(graphs_module, "_REPR_MARGIN", math.inf)
+        saved = (large_graph, build_tsne_graph(small_random, 5.0),
+                 build_umap_graph(small_random, 6))
+        for graph in saved:
+            save_graph(graph, tmp_path / "g.json")
+            assert (tmp_path / "g.json").read_bytes() == reference_bytes(graph)
+        assert sum(calls) == sum(graph.n_edges for graph in saved)
+
+    def test_blob_graphs_never_fall_back(self, blobs, tmp_path, monkeypatch):
+        # a certificate that vouched for nothing would keep the bytes and lose the speed
+        calls = count_fallbacks(monkeypatch)
+        data, _ = blobs
+        for graph in (build_tsne_graph(data, 30.0), build_umap_graph(data, 15)):
+            save_graph(graph, tmp_path / "g.json")
+            assert (tmp_path / "g.json").read_bytes() == reference_bytes(graph)
+        assert sum(calls) == 0
+
+
 class TestFiniteProvenance:
     @pytest.mark.parametrize("param, options", [
         (math.nan, {}), (math.inf, {}), (None, {"note": -math.inf}),
