@@ -1,10 +1,12 @@
 """Command-line surface: synth, graph, score, sweep, estimate, verify, export.
 
 Exit codes: 0 success, 1 input/validation error, 2 internal error.
-Diagnostics go to stderr; data goes to files or stdout.  Every output
-file gets a `<name>.manifest.json` sidecar recording the command, the
-resolved flags, input digests, the tool version, and the wall-clock
-duration.  The data files themselves stay byte-identical across runs.
+Diagnostics go to stderr; data goes to files or stdout.  `_FILE_FLAGS`
+names the files each command reads and writes; after a command succeeds,
+`main` gives every output file a `<name>.manifest.json` sidecar recording
+the command, the resolved flags, input digests, the tool version, and
+the wall-clock duration.  The data files themselves stay byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -88,8 +90,11 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _digests(inputs: list[Path]) -> dict[str, str]:
-    """SHA-256 of each input, taken before the command writes anything."""
-    return {str(p): _sha256(p) for p in inputs}
+    """SHA-256 of each input that is a file, taken before the command runs.
+
+    A missing input is left to its loader, which names it.
+    """
+    return {str(p): _sha256(p) for p in inputs if p.is_file()}
 
 
 def _write_manifest(args: argparse.Namespace, digests: dict[str, str], started: float,
@@ -122,7 +127,8 @@ def _positive_threads(raw: str) -> int:
     return value
 
 
-# per command: the flags naming files it reads, then those naming files it writes
+# per command: the flags naming files it reads, then those naming files it
+# writes; `main` hashes the first and gives each of the second a sidecar
 _FILE_FLAGS = {
     "synth": (("spec",), ("out",)),
     "graph": (("data", "labels"), ("out",)),
@@ -141,24 +147,30 @@ def _same_file(a: Path, b: Path) -> bool:
         return a.resolve() == b.resolve()
 
 
-def _check_file_flags(args) -> None:
-    """Refuse an output (or its manifest) that names an input or an earlier output.
+def _files(args) -> tuple[list[Path], list[Path]]:
+    """The given read flags' paths and write flags' paths, in `_FILE_FLAGS` order.
 
-    Runs before the command touches any file, so nothing is overwritten.
+    Refuses an output (or its manifest) that names an input or an earlier
+    output.  Runs before the command touches any file, so nothing is
+    overwritten.
     """
     reads, writes = _FILE_FLAGS[args.command]
     named = [(f"--{flag.replace('_', '-')}", Path(getattr(args, flag)))
              for flag in reads if getattr(args, flag)]
+    inputs = [path for _, path in named]
+    outputs = []
     for flag in writes:
         if getattr(args, flag):
             option = f"--{flag.replace('_', '-')}"
             out = _out_path(getattr(args, flag))
+            outputs.append(out)
             for name, path in ((option, out),
                                (f"the manifest of {option}", Path(f"{out}.manifest.json"))):
                 for other, earlier in named:
                     if _same_file(path, earlier):
                         raise UsageError(f"{name} names the same file as {other}: {path}")
                 named.append((name, path))
+    return inputs, outputs
 
 
 def _add_common(parser: _Parser) -> None:
@@ -199,23 +211,21 @@ def _add_metric_flags(parser: _Parser) -> None:
 
 def _load_inputs(args) -> tuple:
     dataset, labels = load_dataset(args.data, args.label_col)
-    used = [Path(args.data)]
-    if getattr(args, "labels", None):
+    if args.labels:
         labels = load_labels(args.labels, dataset.n)
-        used.append(Path(args.labels))
-    return dataset, labels, used
+    return dataset, labels
 
 
 def _load_graph_inputs(args) -> tuple:
-    """Graph, labels and input paths (graph first); vertex and row counts must agree."""
-    dataset, labels, used = _load_inputs(args)
+    """Graph and labels; vertex and row counts must agree."""
+    dataset, labels = _load_inputs(args)
     graph = load_graph(args.graph)
     if graph.n_vertices != dataset.n:
         raise MetricsError(
             f"graph has {graph.n_vertices} vertices but dataset has "
             f"{dataset.n} rows"
         )
-    return graph, labels, [Path(args.graph)] + used
+    return graph, labels
 
 
 def _parse_centers(raw: str) -> list[tuple[float, ...]]:
@@ -249,8 +259,6 @@ def _parse_per_cluster(raw: str, n_clusters: int, kind, flag: str) -> list:
 
 
 def _cmd_synth(args) -> int:
-    started = time.monotonic()
-    inputs: list[Path] = []
     if args.preset:
         if args.centers or args.spec:
             raise UsageError("--preset excludes --centers/--spec")
@@ -262,7 +270,6 @@ def _cmd_synth(args) -> int:
         spec = load_blob_spec(args.spec)
         if args.seed is not None:
             spec = BlobSpec(clusters=spec.clusters, seed=args.seed)
-        inputs.append(Path(args.spec))
         dataset, labels = generate_blobs(spec)
     elif args.centers:
         centers = _parse_centers(args.centers)
@@ -276,10 +283,7 @@ def _cmd_synth(args) -> int:
         dataset, labels = generate_blobs(spec)
     else:
         raise UsageError("one of --preset, --spec, --centers is required")
-    digests = _digests(inputs)
-    out = _out_path(args.out)
-    save_dataset(dataset, labels, out, label_column=args.label_col)
-    _write_manifest(args, digests, started, out)
+    save_dataset(dataset, labels, _out_path(args.out), label_column=args.label_col)
     return 0
 
 
@@ -291,14 +295,10 @@ def _check_prune_eps(args) -> None:
 
 
 def _cmd_graph(args) -> int:
-    started = time.monotonic()
     _check_prune_eps(args)
-    dataset, _, inputs = _load_inputs(args)
-    digests = _digests(inputs)
+    dataset, _ = _load_inputs(args)
     graph = _build_from_flags(args, dataset)
-    out = _out_path(args.out)
-    save_graph(graph, out)
-    _write_manifest(args, digests, started, out)
+    save_graph(graph, _out_path(args.out))
     _warn_non_converged("graph: ", graph.provenance.options["non_converged"],
                         graph.n_vertices)
     return 0
@@ -326,22 +326,15 @@ def _build_from_flags(args, dataset):
 
 
 def _cmd_score(args) -> int:
-    started = time.monotonic()
-    graph, labels, inputs = _load_graph_inputs(args)
-    digests = _digests(inputs)
+    graph, labels = _load_graph_inputs(args)
     config = MetricConfig(
         alpha=args.alpha, beta=args.beta,
         quadrant_threshold=args.quadrant_threshold,
     )
     rep = report(graph, labels, config)
-    out = _out_path(args.out)
-    _write_json(out, rep.to_dict())
-    outputs = [out]
+    _write_json(_out_path(args.out), rep.to_dict())
     if args.per_vertex:
-        pv = _out_path(args.per_vertex)
-        write_vertex_csv(rep, pv)
-        outputs.append(pv)
-    _write_manifest(args, digests, started, *outputs)
+        write_vertex_csv(rep, _out_path(args.per_vertex))
     return 0
 
 
@@ -358,20 +351,22 @@ def _parse_k_values(args) -> list:
                 values.append(int(part))
             except ValueError:
                 raise UsageError(f"bad --k-list entry {part!r}") from None
+        if not values:
+            raise UsageError("--k-list is empty")
         return values
     if args.k_min is None or args.k_max is None:
         raise UsageError("either --k-list or both --k-min and --k-max are required")
     if args.k_step < 1:
         raise UsageError(f"--k-step must be positive, got {args.k_step}")
+    if args.k_min > args.k_max:
+        raise UsageError(f"--k-min {args.k_min} to --k-max {args.k_max} is empty")
     return list(range(args.k_min, args.k_max + 1, args.k_step))
 
 
 def _cmd_sweep(args) -> int:
-    started = time.monotonic()
     _check_prune_eps(args)
-    dataset, labels, inputs = _load_inputs(args)
-    digests = _digests(inputs)
     k_values = _parse_k_values(args)
+    dataset, labels = _load_inputs(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
     result = sweep(dataset, labels, args.method, k_values, config,
                    prune_eps=args.prune_eps, threads=args.threads)
@@ -384,15 +379,12 @@ def _cmd_sweep(args) -> int:
         _write_json(out, result.to_dict())
     else:
         write_sweep_csv(result, out)
-    _write_manifest(args, digests, started, out)
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    started = time.monotonic()
     _check_prune_eps(args)
-    dataset, labels, inputs = _load_inputs(args)
-    digests = _digests(inputs)
+    dataset, labels = _load_inputs(args)
     config = OptimizerConfig(
         k_min=args.k_min,
         k_max=args.k_max,
@@ -407,9 +399,7 @@ def _cmd_estimate(args) -> int:
     for trial in trace.trials:
         _warn_non_converged(f"estimate: k={trial.k}: ", trial.non_converged, dataset.n)
     if args.trace:
-        out = _out_path(args.trace)
-        _write_json(out, trace.to_dict())
-        _write_manifest(args, digests, started, out)
+        _write_json(_out_path(args.trace), trace.to_dict())
     print(json.dumps(
         {"k": best_k, "fscore": trace.best_fscore, "trials": len(trace.trials)},
         sort_keys=True,
@@ -418,7 +408,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    graph, labels, _ = _load_graph_inputs(args)
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise UsageError(f"--tolerance must be nonnegative and finite, got {args.tolerance}")
+    graph, labels = _load_graph_inputs(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
     fast = report(graph, labels, config)
     slow = brute_force_report(graph, labels, args.alpha, args.beta)
@@ -443,14 +435,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    started = time.monotonic()
-    graph, labels, inputs = _load_graph_inputs(args)
-    digests = _digests(inputs)
+    graph, labels = _load_graph_inputs(args)
     config = MetricConfig(alpha=args.alpha, beta=args.beta)
-    rep = report(graph, labels, config)
-    out = _out_path(args.out)
-    write_vertex_csv(rep, out)
-    _write_manifest(args, digests, started, out)
+    write_vertex_csv(report(graph, labels, config), _out_path(args.out))
     return 0
 
 
@@ -575,8 +562,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        _check_file_flags(args)
-        return args.handler(args)
+        inputs, outputs = _files(args)
+        started = time.monotonic()
+        digests = _digests(inputs) if outputs else {}
+        code = args.handler(args)
+        if code == 0:
+            _write_manifest(args, digests, started, *outputs)
+        return code
     except (UsageError, DatasetError, GraphError, KnnError, MetricsError,
             OptimizerError, OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

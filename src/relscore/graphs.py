@@ -437,6 +437,12 @@ def _tsne_screen_scale(k: int) -> float:
 
 
 def _tsne_rows(distances: np.ndarray, perplexity: float):
+    """`_calibrated`'s t-SNE solve over rows of ascending distances.
+
+    The screen's margin assumes e_j <= 1, that is no distance below the
+    row's first: `NeighborLists` holds rows ascending and `_calibrated`
+    scales each by one exact power of two, which keeps them so.
+    """
     d2 = distances * distances
     nd2s = d2 - d2[:, :1]  # shift by the row minimum: conditionals unchanged
     del d2
@@ -488,11 +494,8 @@ def _tsne_rows(distances: np.ndarray, perplexity: float):
         return got, scale * (got + (target + CALIBRATION_TOL)), exact
 
     n = nd2s.shape[0]
-    # the margin assumes e_j <= 1, so rows out of ascending order go unscreened
-    sigma, achieved, converged = _bisect_bandwidth(
-        row_objective, n, target, CALIBRATION_TOL,
-        screen=None if (nd2s > 0.0).any() else screen
-    )
+    sigma, achieved, converged = _bisect_bandwidth(row_objective, n, target,
+                                                   CALIBRATION_TOL, screen=screen)
     return sigma, achieved, converged, conditionals(np.arange(n), sigma)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -315,6 +316,18 @@ class TestSweep:
                    "--k-list", "2", "--k-min", "2", "--k-max", "9",
                    "--out", str(tmp_path / "s.csv")) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--k-list", ""), "--k-list is empty"),
+        (("--k-list", ","), "--k-list is empty"),
+        (("--k-min", "10", "--k-max", "5"), "--k-min 10 to --k-max 5 is empty"),
+    ], ids=["empty-list", "only-commas", "min-above-max"])
+    def test_no_k_to_try_rejected_before_loading(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--data", str(tmp_path / "absent.csv"), "--method", "umap",
+                   *flags, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_prune_eps_rejected_for_umap(self, blobs_csv, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run("sweep", "--data", str(blobs_csv), "--method", "umap",
@@ -414,6 +427,16 @@ class TestVerifyExport:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True
         assert out["max_abs_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_rejected_before_reading(self, tmp_path, capsys, tolerance):
+        # neither file exists: a read would report it instead
+        assert run("verify", "--graph", str(tmp_path / "g.json"),
+                   "--data", str(tmp_path / "d.csv"), "--tolerance", tolerance) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --tolerance must be nonnegative and finite, got {float(tolerance)}\n")
 
     def test_export_csv(self, blobs_csv, tmp_path):
         gpath = tmp_path / "g.json"
@@ -540,6 +563,121 @@ class TestFileCollisions:
                    "--n-neighbors", "5", "--out", str(out)) == 0
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["inputs"] == {str(files["data"]): digest}
+
+
+# per command: flags naming every file of its `_FILE_FLAGS` entry; {out} is a fresh directory
+SIDECAR_ARGV = {
+    "synth": ["--spec", "{spec}", "--out", "{out}/d.csv"],
+    "graph": ["--data", "{data}", "--labels", "{labels}", "--method", "umap",
+              "--n-neighbors", "5", "--out", "{out}/g.json"],
+    "score": ["--graph", "{graph}", "--data", "{data}", "--labels", "{labels}",
+              "--out", "{out}/r.json", "--per-vertex", "{out}/pv.csv"],
+    "sweep": ["--data", "{data}", "--labels", "{labels}", "--method", "umap",
+              "--k-list", "4,6", "--out", "{out}/s.csv"],
+    "estimate": ["--data", "{data}", "--labels", "{labels}", "--method", "umap",
+                 "--k-min", "3", "--k-max", "9", "--budget", "3", "--n-init", "2",
+                 "--trace", "{out}/t.json"],
+    "verify": ["--graph", "{graph}", "--data", "{data}", "--labels", "{labels}"],
+    "export": ["--graph", "{graph}", "--data", "{data}", "--labels", "{labels}",
+               "--out", "{out}/e.csv"],
+}
+
+
+class TestSidecars:
+    """`main` hashes the read flags of `_FILE_FLAGS` and writes one sidecar per
+    write flag, after the command succeeds."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        (tmp_path / "out").mkdir()
+        spec = inputs / "spec.json"
+        spec.write_text(json.dumps({"clusters": [
+            {"center": [0, 0], "stddev": 1.0, "count": 12},
+            {"center": [8, 8], "stddev": 1.0, "count": 12}], "seed": 1}))
+        data, graph, labels = inputs / "d.csv", inputs / "g.json", inputs / "labels.csv"
+        assert run("synth", "--spec", str(spec), "--out", str(data)) == 0
+        assert run("graph", "--data", str(data), "--method", "umap", "--n-neighbors", "5",
+                   "--out", str(graph)) == 0
+        labels.write_text("id,label\n" + "".join(f"{i},{'ab'[i % 2]}\n" for i in range(24)))
+        return {"spec": spec, "data": data, "graph": graph, "labels": labels,
+                "out": tmp_path / "out"}
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        paths, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: paths.append(path) or sha256(path))
+        return paths
+
+    @staticmethod
+    def argv(command, files, drop=()):
+        argv = [arg.format(**files) for arg in SIDECAR_ARGV[command]]
+        for flag in drop:
+            at = argv.index(flag)
+            del argv[at:at + 2]
+        return [command, *argv]
+
+    @staticmethod
+    def sidecars(files):
+        return sorted(files["out"].glob("*.manifest.json"))
+
+    @pytest.mark.parametrize("command", sorted(cli._FILE_FLAGS))
+    def test_every_output_gets_the_digests_of_every_input(self, files, hashed, command):
+        argv = self.argv(command, files)
+        args = build_parser().parse_args(argv)
+        reads, writes = cli._FILE_FLAGS[command]
+        assert all(getattr(args, flag) for flag in reads + writes)
+        assert run(*argv) == 0
+        inputs = [Path(getattr(args, flag)) for flag in reads]
+        assert hashed == (inputs if writes else [])  # once each, in table order
+        assert self.sidecars(files) == sorted(
+            Path(f"{getattr(args, flag)}.manifest.json") for flag in writes)
+        for sidecar in self.sidecars(files):
+            manifest = json.loads(sidecar.read_text())
+            assert manifest["command"] == command
+            assert manifest["inputs"] == {str(p): cli._sha256(p) for p in inputs}
+
+    @pytest.mark.parametrize("command, drop", [("estimate", ("--trace",)), ("verify", ())])
+    def test_no_output_hashes_nothing(self, files, hashed, command, drop):
+        assert run(*self.argv(command, files, drop)) == 0
+        assert hashed == [] and self.sidecars(files) == []
+
+    @pytest.mark.parametrize("command, extra", [
+        ("graph", ("--perplexity", "5")),
+        ("score", ("--beta", "inf")),
+        ("estimate", ("--target", "label:none")),
+    ], ids=["graph-flag-pairing", "score-beta", "estimate-target"])
+    def test_failed_command_leaves_no_sidecar(self, files, command, extra):
+        assert run(*self.argv(command, files), *extra) == 1
+        assert list(files["out"].iterdir()) == []
+
+    def test_output_of_a_failed_command_gets_no_sidecar(self, files, monkeypatch):
+        def fail(rep, path):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr(cli, "write_vertex_csv", fail)
+        assert run(*self.argv("score", files)) == 1
+        assert [p.name for p in files["out"].iterdir()] == ["r.json"]
+
+    @pytest.mark.parametrize("command, missing", [
+        ("synth", "spec"), ("graph", "data"), ("score", "graph"), ("export", "labels"),
+    ])
+    def test_missing_input_named_by_its_loader(self, files, hashed, capsys, command,
+                                               missing):
+        files[missing] = files["spec"].parent / "absent"
+        assert run(*self.argv(command, files)) == 1
+        assert capsys.readouterr().err == f"error: no such file: {files[missing]}\n"
+        assert files[missing] not in hashed
+        assert list(files["out"].iterdir()) == []
+
+    def test_table_names_every_command_and_only_its_flags(self):
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        assert set(cli._FILE_FLAGS) == set(commands)
+        for command, (reads, writes) in cli._FILE_FLAGS.items():
+            dests = {action.dest for action in commands[command]._actions}
+            assert set(reads + writes) <= dests, command
 
 
 class TestThreads:

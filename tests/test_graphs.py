@@ -27,7 +27,7 @@ from relscore.graphs import (
     tsne_calibration,
     umap_calibration,
 )
-from relscore.knn import exact_knn
+from relscore.knn import NeighborLists, exact_knn
 from relscore.metrics import MetricConfig, classify_neighbors, report, sweep
 from relscore.optimizer import OptimizerConfig, estimate
 
@@ -83,7 +83,7 @@ class TestTsneGraph:
             prev = pairs
 
     def test_edges_come_from_candidate_lists(self, small_random):
-        from relscore.knn import exact_knn
+        from relscore.knn import NeighborLists, exact_knn
 
         perplexity = 6.0
         k = min(math.ceil(3 * perplexity), small_random.n - 1)
@@ -191,7 +191,7 @@ class TestUmapGraph:
         assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_edges_come_from_knn_lists(self, small_random):
-        from relscore.knn import exact_knn
+        from relscore.knn import NeighborLists, exact_knn
 
         nbrs = exact_knn(small_random, 8)
         cand = {(v, int(u)) for v in range(small_random.n) for u in nbrs.indices[v]}
@@ -1396,24 +1396,23 @@ class TestEntropyScreen:
         want = np.array([libm(x) for x in points.tolist()])
         assert (np.abs(got - want) <= 2.0**-45 * want).all()
 
-    def test_rows_out_of_order_go_unscreened(self, monkeypatch):
-        # the margin holds for rows ascending from their first distance only
-        distances = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0]])
-        want = exact_tsne_rows(distances, 2.0)
-        screens = []
-        real = graphs_module._bisect_bandwidth
+    @pytest.mark.parametrize("power", [100, -100])
+    def test_calibrated_rows_stay_ascending_at_any_scale(self, blobs, power):
+        # the margin holds for rows ascending from their first distance, which
+        # _tsne_rows takes for granted: _calibrated's power-of-two rescale keeps them so
+        nbrs = exact_knn(blobs[0], 30)
+        scaled = NeighborLists(nbrs.indices, np.ldexp(nbrs.distances, power), nbrs.k)
+        solved = []
 
-        def spy(*args, screen=None, **kwargs):
-            screens.append(screen)
-            return real(*args, screen=screen, **kwargs)
+        def solve(distances):
+            d2 = distances * distances
+            assert (distances[:, 1:] >= distances[:, :-1]).all()
+            assert (d2 >= d2[:, :1]).all()  # no e_j above the first one's 1
+            solved.append(distances.shape[0])
+            return graphs_module._tsne_rows(distances, 10.0)
 
-        monkeypatch.setattr(graphs_module, "_bisect_bandwidth", spy)
-        got = graphs_module._tsne_rows(distances, 2.0)
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        assert screens[0] is None
-        graphs_module._tsne_rows(np.sort(distances, axis=1), 2.0)
-        assert screens[1] is not None
+        cal, _ = graphs_module._calibrated(scaled, 10.0, solve, 1)
+        assert sum(solved) == blobs[0].n and cal.all_converged
 
     def test_few_row_evaluations_take_the_exact_path(self, blobs, monkeypatch):
         # only a bisection step within about tol of its target needs xlogy
