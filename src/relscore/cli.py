@@ -342,6 +342,8 @@ def _parse_k_values(args) -> list:
     if args.k_list is not None:
         if args.k_min is not None or args.k_max is not None:
             raise UsageError("--k-list excludes --k-min/--k-max")
+        if args.k_step is not None:
+            raise UsageError("--k-list excludes --k-step")
         values = []
         for part in args.k_list.split(","):
             part = part.strip()
@@ -356,11 +358,12 @@ def _parse_k_values(args) -> list:
         return values
     if args.k_min is None or args.k_max is None:
         raise UsageError("either --k-list or both --k-min and --k-max are required")
-    if args.k_step < 1:
-        raise UsageError(f"--k-step must be positive, got {args.k_step}")
+    step = 1 if args.k_step is None else args.k_step
+    if step < 1:
+        raise UsageError(f"--k-step must be positive, got {step}")
     if args.k_min > args.k_max:
         raise UsageError(f"--k-min {args.k_min} to --k-max {args.k_max} is empty")
-    return list(range(args.k_min, args.k_max + 1, args.k_step))
+    return list(range(args.k_min, args.k_max + 1, step))
 
 
 def _cmd_sweep(args) -> int:
@@ -374,6 +377,8 @@ def _cmd_sweep(args) -> int:
         if row.error is not None:
             print(f"sweep: k={row.k}: {row.error}", file=sys.stderr)
         _warn_non_converged(f"sweep: k={row.k}: ", row.non_converged, dataset.n)
+    if all(row.error is not None for row in result.rows):
+        raise MetricsError("no k in the sweep could be scored")
     out = _out_path(args.out)
     if out.suffix.lower() == ".json":
         _write_json(out, result.to_dict())
@@ -500,8 +505,8 @@ def build_parser() -> _Parser:
     _add_method_flags(p)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--k-step", type=int, default=1,
-                   help="stride between k values (default: 1)")
+    p.add_argument("--k-step", type=int, default=None,
+                   help="stride between k values (default: 1; excludes --k-list)")
     p.add_argument("--k-list", default=None,
                    help="explicit comma-separated k values (excludes --k-min/max)")
     _add_metric_flags(p)

@@ -71,14 +71,13 @@ def _whole(value, low: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An N x m matrix of finite feature values with unique row ids.
+    """An N x m matrix of finite feature values.
 
-    Rows are the instances the relationship graphs are built over; ids
-    default to 0..N-1 and stay in bijection with rows.
+    Rows are the instances the relationship graphs are built over; row i
+    is vertex i.
     """
 
     values: np.ndarray
-    ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -109,21 +108,8 @@ class Dataset:
                 "coordinates out of range: squared distances between rows "
                 "underflow double precision; rescale the features"
             )
-        ids = self.ids
-        if ids is None:
-            ids = tuple(range(n))
-        else:
-            ids, not_int = integer_values(tuple(ids))
-            if ids.shape != (n,):
-                raise DatasetError(f"{ids.size} ids for {n} rows")
-            if not_int.any():
-                raise DatasetError(f"row id {ids[np.argmax(not_int)]} is not an integer")
-            ids = tuple(map(int, ids.tolist()))
-            if len(set(ids)) != len(ids):
-                raise DatasetError("row ids must be unique")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:
@@ -265,6 +251,59 @@ def generate_blobs(spec: BlobSpec) -> tuple[Dataset, LabelAssignment]:
     return Dataset(values), LabelAssignment(np.concatenate(labels), vocabulary)
 
 
+def _csv_rows(path: Path):
+    """The header of the CSV file at `path`, then (row number from 1, cells) per data row.
+
+    The one CSV reader.  The file is UTF-8, optionally after a byte-order
+    mark, and every row has the header's cell count.  A DatasetError names
+    the file when it is missing, empty, has a row of another length, or is
+    not UTF-8 CSV (`invalid CSV`, with the codec's byte position or the
+    parser's complaint: text is decoded in chunks, so no row can be named).
+    """
+    if not path.is_file():
+        raise DatasetError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
+            yield header
+            for rix, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise DatasetError(
+                        f"{path}: row {rix} has {len(row)} cells, expected {len(header)}"
+                    )
+                yield rix, row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DatasetError(f"{path}: invalid CSV: {exc}") from None
+
+
+def _json_object(path: Path, error: type[Exception]) -> dict:
+    """The top-level object of the JSON file at `path`, or an `error` naming the file.
+
+    The one JSON reader; UTF-8, optionally after a byte-order mark.
+    """
+    if not path.is_file():
+        raise error(f"no such file: {path}")
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # also bad UTF-8 and integers past Python's digit limit
+        raise error(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top-level value must be an object")
+    return doc
+
+
+def _write_csv(path, header: list, rows) -> None:
+    """`header`, then each of `rows`, as UTF-8 CSV with LF line ends: the one CSV writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_dataset(path, label_column: str = "label") -> tuple[Dataset, LabelAssignment]:
     """Read a comma-separated, UTF-8, header-first file into a labeled dataset.
 
@@ -273,47 +312,37 @@ def load_dataset(path, label_column: str = "label") -> tuple[Dataset, LabelAssig
     numbered from 1.  Label names are interned in first-appearance order.
     """
     path = Path(path)
-    if not path.is_file():
-        raise DatasetError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        hits = [i for i, name in enumerate(header) if name == label_column]
-        if not hits:
-            raise DatasetError(f"{path}: no column named {label_column!r}")
-        if len(hits) > 1:
-            raise DatasetError(f"{path}: duplicate label column {label_column!r}")
-        label_at = hits[0]
-        feature_cols = [i for i in range(len(header)) if i != label_at]
-        if not feature_cols:
-            raise DatasetError(f"{path}: no feature columns besides {label_column!r}")
-        rows = []
-        names = []
-        for rix, row in enumerate(reader, start=1):
-            if len(row) != len(header):
+    lines = _csv_rows(path)
+    header = next(lines)
+    hits = [i for i, name in enumerate(header) if name == label_column]
+    if not hits:
+        raise DatasetError(f"{path}: no column named {label_column!r}")
+    if len(hits) > 1:
+        raise DatasetError(f"{path}: duplicate label column {label_column!r}")
+    label_at = hits[0]
+    feature_cols = [i for i in range(len(header)) if i != label_at]
+    if not feature_cols:
+        raise DatasetError(f"{path}: no feature columns besides {label_column!r}")
+    rows = []
+    names = []
+    for rix, row in lines:
+        feats = []
+        for c in feature_cols:
+            try:
+                x = float(row[c])
+            except ValueError:
                 raise DatasetError(
-                    f"{path}: row {rix} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {rix}, column {header[c]!r}: "
+                    f"not numeric: {row[c]!r}"
+                ) from None
+            if not math.isfinite(x):
+                raise DatasetError(
+                    f"{path}: row {rix}, column {header[c]!r}: "
+                    f"non-finite value {row[c]!r}"
                 )
-            feats = []
-            for c in feature_cols:
-                try:
-                    x = float(row[c])
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: row {rix}, column {header[c]!r}: "
-                        f"not numeric: {row[c]!r}"
-                    ) from None
-                if not math.isfinite(x):
-                    raise DatasetError(
-                        f"{path}: row {rix}, column {header[c]!r}: "
-                        f"non-finite value {row[c]!r}"
-                    )
-                feats.append(x)
-            rows.append(feats)
-            names.append(row[label_at])
+            feats.append(x)
+        rows.append(feats)
+        names.append(row[label_at])
     if len(rows) < 2:
         raise DatasetError(f"{path}: need at least 2 data rows, got {len(rows)}")
     label_ids, vocabulary = _intern(names)
@@ -335,50 +364,36 @@ def save_dataset(dataset: Dataset, labels: LabelAssignment, path,
         raise DatasetError(
             f"label count {labels.n} != dataset row count {dataset.n}"
         )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j}" for j in range(dataset.dim)] + [label_column])
-        for i in range(dataset.n):
-            cells = [repr(float(v)) for v in dataset.values[i]]
-            cells.append(labels.name_of(i))
-            writer.writerow(cells)
+    _write_csv(path, [f"x{j}" for j in range(dataset.dim)] + [label_column],
+               ([*map(repr, row), labels.name_of(i)]
+                for i, row in enumerate(dataset.values.tolist())))
 
 
 def load_labels(path, n_vertices: int) -> LabelAssignment:
     """Read an external label file: header `id,label`, ids covering 0..N-1."""
     path = Path(path)
-    if not path.is_file():
-        raise DatasetError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    lines = _csv_rows(path)
+    header = next(lines)
+    try:
+        id_at = header.index("id")
+        label_at = header.index("label")
+    except ValueError:
+        raise DatasetError(f"{path}: header must contain 'id' and 'label'") from None
+    names: dict[int, str] = {}
+    for rix, row in lines:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        try:
-            id_at = header.index("id")
-            label_at = header.index("label")
+            vid = int(row[id_at])
         except ValueError:
-            raise DatasetError(f"{path}: header must contain 'id' and 'label'") from None
-        names: dict[int, str] = {}
-        for rix, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: row {rix} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                vid = int(row[id_at])
-            except ValueError:
-                raise DatasetError(
-                    f"{path}: row {rix}: id {row[id_at]!r} is not an integer"
-                ) from None
-            if not 0 <= vid < n_vertices:
-                raise DatasetError(
-                    f"{path}: row {rix}: id {vid} outside 0..{n_vertices - 1}"
-                )
-            if vid in names:
-                raise DatasetError(f"{path}: row {rix}: duplicate id {vid}")
-            names[vid] = row[label_at]
+            raise DatasetError(
+                f"{path}: row {rix}: id {row[id_at]!r} is not an integer"
+            ) from None
+        if not 0 <= vid < n_vertices:
+            raise DatasetError(
+                f"{path}: row {rix}: id {vid} outside 0..{n_vertices - 1}"
+            )
+        if vid in names:
+            raise DatasetError(f"{path}: row {rix}: duplicate id {vid}")
+        names[vid] = row[label_at]
     if len(names) != n_vertices:
         raise DatasetError(
             f"{path}: {len(names)} labels for {n_vertices} vertices"
@@ -388,11 +403,7 @@ def load_labels(path, n_vertices: int) -> LabelAssignment:
 
 
 def save_labels(labels: LabelAssignment, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label"])
-        for v in range(labels.n):
-            writer.writerow([v, labels.name_of(v)])
+    _write_csv(path, ["id", "label"], ((v, labels.name_of(v)) for v in range(labels.n)))
 
 
 def relabel(labels: LabelAssignment, mapping: dict[int, int]) -> LabelAssignment:
@@ -457,13 +468,7 @@ def preset(name: str, seed: int = 7) -> tuple[Dataset, LabelAssignment]:
 def load_blob_spec(path) -> BlobSpec:
     """Read a BlobSpec from a small JSON document."""
     path = Path(path)
-    if not path.is_file():
-        raise DatasetError(f"no such file: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # also bad UTF-8 and integers past Python's digit limit
-        raise DatasetError(f"{path}: invalid JSON: {exc}") from None
+    doc = _json_object(path, DatasetError)
     try:
         return BlobSpec.from_dict(doc)
     except DatasetError as exc:

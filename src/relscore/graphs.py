@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import xlogy
 
-from .datasets import Dataset, integer_values
+from .datasets import Dataset, _json_object, integer_values
 from .knn import (
     NeighborLists, _squared_distances, block_rows, check_threads, exact_knn, run_blocks,
 )
@@ -904,15 +904,7 @@ def _json_edges(edges: list):
 
 def _read_graph(path) -> RelationshipGraph:
     path = Path(path)
-    if not path.is_file():
-        raise GraphError(f"no such file: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # also bad UTF-8 and integers past Python's digit limit
-        raise GraphError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GraphError(f"{path}: top-level value must be an object")
+    doc = _json_object(path, GraphError)
     for key in ("n", "method", "edges"):
         if key not in doc:
             raise GraphError(f"{path}: missing key {key!r}")

@@ -9,7 +9,6 @@ first, then across labels, so class imbalance cannot dominate.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .datasets import Dataset, LabelAssignment, integer_values
+from .datasets import Dataset, LabelAssignment, _write_csv, integer_values
 from .graphs import (
     GraphError,
     GraphProvenance,
@@ -560,13 +559,16 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
           threads: int | None = None) -> SweepResult:
     """Global metrics per neighborhood size, one row per distinct k.
 
-    A failing build annotates its row instead of aborting the sweep.
-    Neighbors are computed once, for the largest count a valid k needs,
-    and every build reads its exact prefix.  `threads` caps the worker
+    A failing build annotates its row instead of aborting the sweep;
+    labels of another length than the dataset are refused before any
+    build.  Neighbors are computed once, for the largest count a valid k
+    needs, and every build reads its exact prefix.  `threads` caps the worker
     threads of that pass and of every build's calibration (see
     `run_blocks`); it never changes a byte.
     """
     _check_method(method, prune_eps, MetricsError)
+    if labels.n != dataset.n:
+        raise MetricsError(f"label count {labels.n} != dataset row count {dataset.n}")
     ks = sorted(dict.fromkeys(k_values))
     neighbors = shared_neighbors(method, dataset, ks, threads=threads)
     rows = []
@@ -589,26 +591,14 @@ def sweep(dataset: Dataset, labels: LabelAssignment, method: str, k_values,
 
 def write_vertex_csv(rep: MetricReport, path) -> None:
     """Per-vertex scores for external tools (projection coloring etc.)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label", "precision", "recall", "fscore"])
-        for vid, name, p, r, f in rep.vertex_rows():
-            writer.writerow([vid, name, repr(p), repr(r), repr(f)])
+    _write_csv(path, ["id", "label", "precision", "recall", "fscore"],
+               ([vid, name, repr(p), repr(r), repr(f)]
+                for vid, name, p, r, f in rep.vertex_rows()))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """k,precision,recall_a0,recall_a1,fscore; failed rows leave blanks."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "precision", "recall_a0", "recall_a1", "fscore"])
-        for row in result.rows:
-            if row.error is None:
-                writer.writerow([
-                    row.k,
-                    repr(row.precision),
-                    repr(row.recall_a0),
-                    repr(row.recall_a1),
-                    repr(row.fscore),
-                ])
-            else:
-                writer.writerow([row.k, "", "", "", ""])
+    _write_csv(path, ["k", "precision", "recall_a0", "recall_a1", "fscore"], (
+        [row.k, "", "", "", ""] if row.error is not None else
+        [row.k, *map(repr, (row.precision, row.recall_a0, row.recall_a1, row.fscore))]
+        for row in result.rows))

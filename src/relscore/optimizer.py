@@ -291,8 +291,6 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
     if n_draw > 0:
         design += [int(k) for k in rng.choice(interior, size=n_draw, replace=False)]
     for k in design:
-        if len(trials) >= config.budget:
-            break
         run_trial(k)
 
     while len(trials) < config.budget:

@@ -328,6 +328,32 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_every_k_failing_is_an_error(self, blobs_csv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--data", str(blobs_csv), "--method", "umap",
+                   "--k-list", "1,500", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "sweep: k=1: n_neighbors must be in [2, 149], got 1\n"
+            "sweep: k=500: n_neighbors must be in [2, 149], got 500\n"
+            "error: no k in the sweep could be scored\n")
+        assert sorted(tmp_path.iterdir()) == [blobs_csv, tmp_path / "blobs.csv.manifest.json"]
+
+    def test_k_step_excludes_k_list(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--data", str(tmp_path / "absent.csv"), "--method", "umap",
+                   "--k-list", "5", "--k-step", "0", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: --k-list excludes --k-step\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_k_step_defaults_to_one(self, blobs_csv, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--data", str(blobs_csv), "--method", "umap",
+                   "--k-min", "5", "--k-max", "7", "--out", str(out)) == 0
+        assert [line.split(",")[0] for line in out.read_text().split()[1:]] == [
+            "5", "6", "7"]
+        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+        assert manifest["flags"]["k_step"] is None
+
     def test_prune_eps_rejected_for_umap(self, blobs_csv, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run("sweep", "--data", str(blobs_csv), "--method", "umap",
@@ -461,6 +487,28 @@ class TestErrorSurface:
         assert run("graph", "--data", str(tmp_path / "nope.csv"),
                    "--method", "umap", "--n-neighbors", "3",
                    "--out", str(tmp_path / "g.json")) == 1
+
+    @pytest.mark.parametrize("flag", ["--data", "--labels"])
+    @pytest.mark.parametrize("row, message", [
+        (None, "empty file"),
+        (b"1", "row 2 has 1 cells, expected 2"),
+        (b"1,\xff", "invalid CSV: 'utf-8' codec can't decode byte 0xff in position "),
+        (b'1,"' + b"z" * 200_000 + b'"',
+         "invalid CSV: field larger than field limit (131072)"),
+    ], ids=["empty", "short-row", "not-utf8", "oversized-field"])
+    def test_unreadable_csv_is_an_input_error(self, blobs_csv, tmp_path, capsys, flag,
+                                              row, message):
+        bad = tmp_path / "bad.csv"
+        head = b"x,label\n2,a\n" if flag == "--data" else b"id,label\n0,a\n"
+        bad.write_bytes(b"" if row is None else head + row + b"\n")
+        data = bad if flag == "--data" else blobs_csv
+        argv = ["sweep", "--data", str(data), "--method", "umap", "--k-list", "5",
+                "--out", str(tmp_path / "s.csv")]
+        if flag == "--labels":
+            argv += ["--labels", str(bad)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0

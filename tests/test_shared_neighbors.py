@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from relscore import graphs, metrics, optimizer
-from relscore.datasets import Dataset, preset
+from relscore.datasets import Dataset, LabelAssignment, preset
 from relscore.graphs import (
     GraphError,
     build_graph,
@@ -377,6 +377,17 @@ class TestSweepSharesOnePass:
             sweep(data, labels, "umap", [10], prune_eps=0.5)
         assert calls == {"relscore.graphs": 0}
 
+
+    def test_wrong_label_count_rejected_before_the_pass(self, blobs, monkeypatch):
+        data, labels = blobs
+        calls = count_calls(monkeypatch, graphs)
+        builds = []
+        monkeypatch.setattr(metrics, "build_graph", lambda *args, **kwargs: builds.append(1))
+        short = LabelAssignment(labels.labels[:149], labels.vocabulary)
+        with pytest.raises(MetricsError) as exc:
+            sweep(data, short, "umap", [5, 10, 15])
+        assert str(exc.value) == "label count 149 != dataset row count 150"
+        assert calls == {"relscore.graphs": 0} and builds == []
 
     @pytest.mark.parametrize("prune_eps", [float("nan"), float("inf"), -1.0])
     def test_bad_prune_eps_rejected_before_the_pass(self, blobs, monkeypatch, prune_eps):
