@@ -259,11 +259,13 @@ def _csv_rows(path: Path):
     the file when it is missing, empty, has a row of another length, or is
     not UTF-8 CSV (`invalid CSV`, with the codec's byte position or the
     parser's complaint: text is decoded in chunks, so no row can be named).
+    The parser is strict: a quote left open to the end of the file, or
+    text after a closing quote, is invalid CSV, not rows run together.
     """
     if not path.is_file():
         raise DatasetError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader, None)
             if header is None:

@@ -16,7 +16,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.special import xlogy
 
 from .datasets import Dataset, _json_object, integer_values
 from .knn import (
@@ -434,6 +433,17 @@ def _tsne_screen_scale(k: int) -> float:
     lib = 2.0 ** -40
     ku = (k + 1) * 2.0 ** -53
     return 2.0 * ((math.log(k) + 2.0) * (4.0 * lib + 3.0 * ku / (1.0 - ku)) + k * 2.0 ** -1000)
+
+
+def xlogy(x, y):
+    """scipy.special.xlogy, imported on the first call.
+
+    Only the t-SNE bisection's exact path needs it, so no other command
+    loads scipy.  `_tsne_rows` looks the name up in this module at each
+    call, so a test can patch it.
+    """
+    from scipy.special import xlogy as scipy_xlogy
+    return scipy_xlogy(x, y)
 
 
 def _tsne_rows(distances: np.ndarray, perplexity: float):

@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .datasets import Dataset, LabelAssignment, _write_csv, integer_values
 from .graphs import (
@@ -123,28 +121,37 @@ def _check_cover(graph: RelationshipGraph, labels: LabelAssignment) -> None:
         )
 
 
-def _upper_csr(row_counts: np.ndarray, cols: np.ndarray, data: np.ndarray) -> csr_matrix:
-    """Sorted edges i < j as a CSR, no COO step: row i is row_counts[i] of `cols`."""
-    indptr = np.zeros(row_counts.size + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=indptr[1:])
-    return csr_matrix((data, cols, indptr), shape=(row_counts.size,) * 2)
-
-
 def _component_ids(row_counts: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Smallest member vertex of each vertex's component, for the edges
-    i < j sorted by (i, j) that give row_counts[i] entries of columns `cols`."""
-    n = row_counts.size
-    # float64 data is the type connected_components reads, so it is not copied
-    adj = _upper_csr(row_counts, cols, np.ones(cols.size))
-    n_comp, raw = connected_components(adj, directed=False)
-    smallest = np.full(n_comp, n, dtype=np.int64)
-    np.minimum.at(smallest, raw, np.arange(n))
-    return smallest[raw]
+    i < j sorted by (i, j) that give row_counts[i] entries of columns `cols`.
+
+    Hooking and pointer jumping (Shiloach & Vishkin, J. Algorithms 3(1),
+    1982): each round hooks the larger root of every edge onto the
+    smallest root it meets, then jumps pointers until every vertex points
+    at its root.  A pointer never rises, so a root is the smallest vertex
+    of its tree; once a round hooks nothing, no edge joins two trees.
+    Ids take the type of `cols`; three edge-sized arrays of it are the
+    only temporaries that grow with the edges.
+    """
+    parent = np.arange(row_counts.size, dtype=cols.dtype)
+    low, high = np.empty_like(cols), np.empty_like(cols)
+    while True:
+        np.take(parent, cols, out=high)
+        roots = np.repeat(parent, row_counts)
+        np.minimum(roots, high, out=low)
+        np.maximum(roots, high, out=high)
+        del roots
+        before = parent.copy()
+        np.minimum.at(parent, high, low)
+        if np.array_equal(parent, before):
+            return parent
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
 
 
 def _intra_label_edges(graph: RelationshipGraph, same: np.ndarray):
-    """Row counts and columns of the same-label edges, columns in the index
-    type scipy keeps for n vertices, so the CSR shares them."""
+    """Row counts and columns of the same-label edges, columns as int32
+    when the vertex ids fit."""
     n = graph.n_vertices
     cols = graph.edges_j[same].astype(np.int32 if n <= _INT32_MAX else np.int64)
     return np.bincount(graph.edges_i[same], minlength=n), cols
@@ -348,15 +355,28 @@ def _label_fscores(graph: RelationshipGraph, labels: LabelAssignment,
 
 
 def _label_weight(graph: RelationshipGraph, stats: _GraphStats) -> np.ndarray:
-    """(L, L) incident weight by (own, neighbor) label, summed in directed-view order."""
-    upper = _upper_csr(np.bincount(graph.edges_i, minlength=stats.n), graph.edges_j,
-                       graph.weights)
-    both = upper + upper.T
-    lab = stats.label_ids
+    """(L, L) incident weight by (own, neighbor) label, summed in directed-view order.
+
+    Vertex v's directed row is its edges (i, v) by ascending i, then its
+    edges (v, j) by ascending j: a stable sort of the rows of
+    concat(edges_j, edges_i) puts every entry there, and bincount then adds
+    each (own, neighbor) bin's weights in that order.  Row ids sort as the
+    smallest unsigned type that holds them, which is a radix sort up to
+    65,536 vertices; pair keys are built in the smallest type that holds
+    L^2 - 1, so the edge-sized temporaries stay small (with int64 keys the
+    function took twice as long, in page faults).
+    """
+    ei, ej = graph.edges_i, graph.edges_j
+    order = np.concatenate((ej, ei), dtype=np.min_scalar_type(stats.n - 1),
+                           casting="unsafe").argsort(kind="stable")
     n_labels = len(stats.vocabulary)
-    pair_key = np.repeat(lab, np.diff(both.indptr)) * n_labels + lab[both.indices]
+    lab = stats.label_ids.astype(np.min_scalar_type(n_labels * n_labels - 1))
+    li, lj = lab[ei], lab[ej]
+    # (row label, column label) of each entry of concat(edges_j, edges_i)
+    pair_key = np.concatenate((lj * n_labels + li, li * n_labels + lj))
+    weights = np.concatenate((graph.weights, graph.weights))
     return np.bincount(
-        pair_key, weights=both.data, minlength=n_labels * n_labels
+        pair_key[order], weights=weights[order], minlength=n_labels * n_labels
     ).reshape(n_labels, n_labels)
 
 

@@ -5,6 +5,9 @@ neither convex nor concave in k, so a Gaussian-process surrogate over
 normalized log(k) drives expected-improvement acquisition across the
 whole integer candidate range.  Everything is seeded and tie-broken
 toward smaller k, so repeated runs are identical.
+
+scipy is imported inside the functions that need it, so that importing
+relscore loads none of it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
-from scipy.special import ndtr
 
 from .datasets import Dataset, LabelAssignment, integer_values
 from .graphs import GraphError, _check_method, build_graph, shared_neighbors
@@ -124,6 +125,7 @@ def expected_improvement(mean, stddev, best_so_far):
 
     Elementwise on arrays; the stddev = 0 limit is max(0, mean - best).
     """
+    from scipy.special import ndtr
     mu = np.asarray(mean, dtype=float)
     sd = np.asarray(stddev, dtype=float)
     if np.any(sd < 0):
@@ -161,6 +163,7 @@ def _kernel(xa: np.ndarray, xb: np.ndarray, lengthscale: float) -> np.ndarray:
 
 def fit_surrogate(x, y) -> SurrogateFit:
     """Fit the GP at each grid lengthscale, keep the best marginal likelihood."""
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or x.size == 0:
@@ -202,6 +205,7 @@ def fit_surrogate(x, y) -> SurrogateFit:
 
 def surrogate_posterior(fit: SurrogateFit, xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and stddev at query points, in objective units."""
+    from scipy.linalg import solve_triangular
     xq = np.atleast_1d(np.asarray(xq, dtype=float))
     cross = _kernel(xq, fit.x, fit.lengthscale)
     mu_n = cross @ fit.coef

@@ -1,5 +1,7 @@
 import argparse
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -495,7 +497,10 @@ class TestErrorSurface:
         (b"1,\xff", "invalid CSV: 'utf-8' codec can't decode byte 0xff in position "),
         (b'1,"' + b"z" * 200_000 + b'"',
          "invalid CSV: field larger than field limit (131072)"),
-    ], ids=["empty", "short-row", "not-utf8", "oversized-field"])
+        (b'1,"b\n3,c', "invalid CSV: unexpected end of data"),
+        (b'1,"b"c', "invalid CSV: ',' expected after '\"'"),
+    ], ids=["empty", "short-row", "not-utf8", "oversized-field", "unclosed-quote",
+            "text-after-quote"])
     def test_unreadable_csv_is_an_input_error(self, blobs_csv, tmp_path, capsys, flag,
                                               row, message):
         bad = tmp_path / "bad.csv"
@@ -779,3 +784,53 @@ class TestThreads:
                            "--out", str(out)) == 0
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1], name
+
+
+# Runs in a fresh interpreter: after `import relscore.cli`, then after each
+# command run through cli.main, prints the scipy modules then loaded.
+SCIPY_PROBE = """
+import json, sys
+import relscore.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    if relscore.cli.main(argv) != 0:
+        raise SystemExit(f"{argv[0]} failed")
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """Only t-SNE calibration and `estimate` need scipy; no other command loads it."""
+    data, tsne = str(tmp_path / "data.csv"), str(tmp_path / "tsne.json")
+    assert run("synth", "--preset", "three-blobs", "--out", data) == 0
+    assert run("graph", "--data", data, "--method", "tsne", "--perplexity", "10",
+               "--out", tsne) == 0  # built here, so the probe can score it without scipy
+    umap = str(tmp_path / "umap.json")
+    commands = [
+        ["synth", "--preset", "three-blobs", "--out", str(tmp_path / "synth.csv")],
+        ["graph", "--data", data, "--method", "umap", "--n-neighbors", "10", "--out", umap],
+        ["sweep", "--data", data, "--method", "umap", "--k-list", "5,10",
+         "--out", str(tmp_path / "sweep.csv")],
+        ["score", "--graph", tsne, "--data", data, "--out", str(tmp_path / "r.json"),
+         "--per-vertex", str(tmp_path / "v.csv")],
+        ["export", "--graph", umap, "--data", data, "--out", str(tmp_path / "e.csv")],
+        ["verify", "--graph", tsne, "--data", data],
+        ["graph", "--data", data, "--method", "tsne", "--perplexity", "10",
+         "--out", str(tmp_path / "tsne2.json")],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=300,
+                          env={"PYTHONPATH": src}, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    *scipy_free, tsne_graph = json.loads(proc.stdout.splitlines()[-1])
+    assert len(scipy_free) == len(commands)
+    for step, modules in zip(["import", *commands[:-1]], scipy_free):
+        assert modules == [], step
+    assert "scipy.special" in tsne_graph
+    assert not any(m.startswith("scipy.sparse") for m in tsne_graph)

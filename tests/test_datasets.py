@@ -368,6 +368,30 @@ class TestCsvInputFaults:
         assert str(exc.value) == (
             f"{path}: invalid CSV: field larger than field limit (131072)")
 
+    def test_unclosed_quote(self, tmp_path, loader):
+        # a lenient parser reads the rest of the file into the open cell
+        path = tmp_path / "open.csv"
+        row = CSV_LOADERS[loader][2].encode()
+        with pytest.raises(DatasetError) as exc:
+            self.load(loader, path, b'"' + row + b"\n" + row)
+        assert str(exc.value) == f"{path}: invalid CSV: unexpected end of data"
+
+    def test_text_after_closing_quote(self, tmp_path, loader):
+        # a lenient parser joins "a"b into ab
+        path = tmp_path / "after.csv"
+        row = CSV_LOADERS[loader][2].encode()
+        with pytest.raises(DatasetError) as exc:
+            self.load(loader, path, b'"' + row.replace(b",", b'"x,', 1))
+        assert str(exc.value) == f"{path}: invalid CSV: ',' expected after '\"'"
+
+
+def test_quoted_cells_load(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b'label,x\n"a,b",1\n"c""d",2\n')
+    assert load_dataset(path)[1].vocabulary == ("a,b", 'c"d')
+    path.write_bytes(b'id,label\n0,"a,b"\n1,"c""d"\n')
+    assert load_labels(path, 2).vocabulary == ("a,b", 'c"d')
+
 
 class TestJsonInputs:
     def test_bom_is_skipped(self, tmp_path):

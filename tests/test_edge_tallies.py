@@ -9,6 +9,10 @@ hypothesis (derandomized): n = 1..40, empty edge lists, isolated
 vertices, one label, all-distinct labels, unused vocabulary entries, and
 weights spread over e^-20..e^20, so that any change in summation order
 shows in the bytes.
+
+`TestKernelsMatchScipy` holds the numpy components and label weights to
+the scipy code they replaced (`scipy_component_ids`, `csr_label_weight`):
+the library loads no scipy for them, so only this file imports it.
 """
 
 import json
@@ -55,12 +59,7 @@ def directed_view_stats(graph, labels):
     same_total = np.bincount(lab, minlength=n_labels)[lab]
     fn_edge = same_total - 1 - tp_count
     intra = lab[graph.edges_i] == lab[graph.edges_j]
-    ei, ej = graph.edges_i[intra], graph.edges_j[intra]
-    adj = csr_matrix((np.ones(ei.size, dtype=np.int8), (ei, ej)), shape=(n, n))
-    n_comp, raw = connected_components(adj, directed=False)
-    smallest = np.full(n_comp, n, dtype=np.int64)
-    np.minimum.at(smallest, raw, np.arange(n))
-    component_ids = smallest[raw]
+    component_ids = scipy_component_ids(n, graph.edges_i[intra], graph.edges_j[intra])
     fn_component = same_total - np.bincount(component_ids, minlength=n)[component_ids]
     pair_key = lab[src] * n_labels + lab[dst]
     label_weight = np.bincount(
@@ -79,6 +78,49 @@ def directed_view_stats(graph, labels):
         fn_component=fn_component,
     )
     return stats, component_ids, label_weight
+
+
+def scipy_component_ids(n, ei, ej):
+    """Smallest member of each vertex's component, from scipy's connected components."""
+    adj = csr_matrix((np.ones(ei.size, dtype=np.int8), (ei, ej)), shape=(n, n))
+    n_comp, raw = connected_components(adj, directed=False)
+    smallest = np.full(n_comp, n, dtype=np.int64)
+    np.minimum.at(smallest, raw, np.arange(n))
+    return smallest[raw]
+
+
+def csr_label_weight(graph, stats):
+    """`metrics._label_weight` as it was built from the CSR of upper + upper.T."""
+    n = stats.n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.edges_i, minlength=n), out=indptr[1:])
+    upper = csr_matrix((graph.weights, graph.edges_j, indptr), shape=(n, n))
+    both = upper + upper.T
+    lab = stats.label_ids
+    n_labels = len(stats.vocabulary)
+    pair_key = np.repeat(lab, np.diff(both.indptr)) * n_labels + lab[both.indices]
+    return np.bincount(
+        pair_key, weights=both.data, minlength=n_labels * n_labels
+    ).reshape(n_labels, n_labels)
+
+
+def component_edges(n, kind, seed):
+    """Sorted edges i < j on n vertices: none, one path through the vertices in
+    random order, that path cut in places, or random pairs."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "edgeless":
+        a = b = np.empty(0, dtype=np.int64)
+    elif kind == "random":
+        a, b = rng.integers(0, n, (2, int(rng.integers(0, 2 * n + 1))))
+    else:
+        order = rng.permutation(n)
+        a, b = order[:-1], order[1:]
+        if kind == "paths":
+            kept = rng.random(n - 1) >= 0.05
+            a, b = a[kept], b[kept]
+    distinct = a != b
+    keys = np.unique(np.minimum(a, b)[distinct] * n + np.maximum(a, b)[distinct])
+    return keys // n, keys % n
 
 
 def same_bytes(a, b):
@@ -179,6 +221,47 @@ def no_directed_view():
         stack.enter_context(mock.patch.object(
             metrics, name, side_effect=AssertionError(f"{name} called")))
     return stack
+
+
+class TestKernelsMatchScipy:
+    """The numpy components and label weights against the scipy code they replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(labeled_graphs())
+    def test_label_weight_bitwise(self, case):
+        graph, labels, _ = case
+        stats = metrics._compute_stats(graph, labels)
+        same_bytes(metrics._label_weight(graph, stats), csr_label_weight(graph, stats))
+
+    @pytest.mark.parametrize("method", ["tsne", "umap", "wide"])
+    def test_label_weight_bitwise_at_scale(self, method):
+        # the score workload's shape: 4,000 points in 10 overlapping 20-D blobs;
+        # "wide" has 70,000 vertices, past the radix sort's 16-bit row ids
+        rng = np.random.Generator(np.random.PCG64(0))
+        if method == "wide":
+            ei, ej = component_edges(70_000, "random", 0)
+            graph = RelationshipGraph(70_000, ei, ej, np.exp(rng.uniform(-20.0, 20.0, ei.size)),
+                                      GraphProvenance("external"))
+            ids = rng.integers(0, 10, 70_000)
+        else:
+            ids = np.repeat(np.arange(10), 400)
+            data = Dataset(rng.random((10, 20))[ids] * 3.0 + rng.normal(size=(4000, 20)))
+            graph = build_graph(method, data, 30.0 if method == "tsne" else 15)
+        labels = LabelAssignment(ids, tuple(f"L{v}" for v in range(10)))
+        stats = metrics._compute_stats(graph, labels)
+        same_bytes(metrics._label_weight(graph, stats), csr_label_weight(graph, stats))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 300), st.sampled_from(["edgeless", "path", "paths", "random"]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([np.int32, np.int64]))
+    @example(1, "edgeless", 0, np.int32)
+    @example(3000, "path", 1, np.int32)  # pointer jumping's most rounds
+    @example(3000, "paths", 2, np.int64)
+    def test_components(self, n, kind, seed, dtype):
+        ei, ej = component_edges(n, kind, seed)
+        got = metrics._component_ids(np.bincount(ei, minlength=n), ej.astype(dtype))
+        assert got.dtype == dtype
+        assert got.tolist() == scipy_component_ids(n, ei, ej).tolist()
 
 
 @pytest.fixture(scope="module")
