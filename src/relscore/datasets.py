@@ -281,6 +281,13 @@ def _csv_rows(path: Path):
             raise DatasetError(f"{path}: invalid CSV: {exc}") from None
 
 
+def _file_bytes(path: Path, error: type[Exception]) -> bytes:
+    """The bytes of the file at `path`, or an `error` naming a missing file."""
+    if not path.is_file():
+        raise error(f"no such file: {path}")
+    return path.read_bytes()
+
+
 def _json_object(path: Path, error: type[Exception]) -> dict:
     """The top-level object of the JSON file at `path`, or an `error` naming the file.
 
@@ -291,7 +298,9 @@ def _json_object(path: Path, error: type[Exception]) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # also bad UTF-8 and integers past Python's digit limit
+    # ValueError is also bad UTF-8 and an integer past Python's digit limit;
+    # RecursionError is nesting past the interpreter's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: top-level value must be an object")

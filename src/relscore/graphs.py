@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset, _json_object, integer_values
+from .datasets import Dataset, _file_bytes, _json_object, integer_values
 from .knn import (
     NeighborLists, _squared_distances, block_rows, check_threads, exact_knn, run_blocks,
 )
@@ -56,6 +56,7 @@ _SIGMA_LOG10_MIN = -20.0
 _SIGMA_LOG10_MAX = 20.0
 _LN2 = math.log(2.0)
 _EDGE_SLICE = 1 << 14  # edges rendered per write in save_graph
+_LOAD_BYTES = 1 << 19  # bytes of edge text parsed at a time in load_graph
 _WEIGHT_ROWS = 28  # columns of a weight's text in save_graph (see _weight_rows)
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp's constant: halves a double for Dekker's product
 _REPR_MARGIN = 2.0 ** -32  # a certified decision's least distance, in last-digit units
@@ -913,18 +914,26 @@ def _json_edges(edges: list):
 
 
 def _read_graph(path) -> RelationshipGraph:
+    """The graph of the JSON file at `path`, parsed as one document."""
     path = Path(path)
-    doc = _json_object(path, GraphError)
+    return _graph(path, _json_object(path, GraphError))
+
+
+def _graph(path: Path, doc: dict, *edges) -> RelationshipGraph:
+    """The graph of `doc`, the parsed file at `path`: its header checks and constructor.
+
+    `edges` are the (i, j, weight) arrays of its edge list when they were
+    read apart from `doc`; otherwise `doc["edges"]` holds the list.
+    """
     for key in ("n", "method", "edges"):
         if key not in doc:
             raise GraphError(f"{path}: missing key {key!r}")
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise GraphError(f"{path}: 'n' must be a positive integer, got {n!r}")
-    edges = doc["edges"]
-    if not isinstance(edges, list):
+    if not isinstance(doc["edges"], list):
         raise GraphError(f"{path}: 'edges' must be an array")
-    ei, ej, w, fault = _json_edges(edges)
+    ei, ej, w, fault = (*edges, None) if edges else _json_edges(doc["edges"])
     options, param = doc.get("options", {}), doc.get("param")
     provenance = GraphProvenance("external")  # stands in while a fault waits
     if fault is None and not isinstance(options, dict):
@@ -946,17 +955,92 @@ def _read_graph(path) -> RelationshipGraph:
     return graph
 
 
+def _object_pairs(text: bytes) -> list | None:
+    """The key-value pairs of the JSON object `text`, in order, or None if it is not one."""
+    objects = []
+
+    def pairs(found):
+        objects.append(found)
+        return dict(found)
+
+    try:
+        doc = json.loads(text.decode(), object_pairs_hook=pairs)
+    except (ValueError, RecursionError):
+        return None
+    return objects[-1] if isinstance(doc, dict) else None  # the last object to close
+
+
+def _saved_edges(path: Path):
+    """(document, i, j, weights) of the graph file at `path` if it is in
+    save_graph's layout, else None.
+
+    The layout is `…, "edges": [[i, j, w], [i, j, w]]…`.  The head up to
+    the edge list and the tail after it are parsed once, with the list
+    left empty; the list is parsed about `_LOAD_BYTES` at a time, each
+    chunk cut at a "], [" and read as one JSON array of edges, which is
+    copied into the edge arrays before the next chunk is parsed.  None
+    means these bytes are not vouched for: another layout or whitespace,
+    a later "edges" key, a chunk that is not JSON, or an edge that
+    `_json_edges` faults or whose id is past int64.  The whole-document
+    reader then reads the file and names any fault.
+    """
+    data = _file_bytes(path, GraphError)
+    marker = b'"edges": ['
+    start = data.find(marker) + len(marker)
+    if start < len(marker) or data[start:start + 1] not in (b"[", b"]"):
+        return None
+    end = start if data[start] == ord("]") else data.find(b"]]", start) + 1
+    if end == 0:
+        return None
+    head = _object_pairs(data[:start] + b"]}")
+    tail = _object_pairs(b'{"edges": []' + data[end + 1:])
+    # the list must be the last "edges" value: json keeps a repeated key's last one
+    if (head is None or tail is None or head[-1][0] != "edges"
+            or any(key == "edges" for key, _ in tail[1:])):
+        return None
+    count = data.count(b"[", start, end)  # one per edge, once every chunk reads as numeric edges
+    ei, ej, w = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64), np.empty(count)
+    view, filled = memoryview(data), 0
+    while start < end:
+        cut = data.find(b"], [", start + _LOAD_BYTES, end)
+        stop = end if cut < 0 else cut + 1
+        try:
+            edges = json.loads(b"".join((b"[", view[start:stop], b"]")))
+        except (ValueError, RecursionError):
+            return None
+        i, j, weights, fault = _json_edges(edges)
+        del edges  # freed before the next chunk is parsed
+        if fault is not None or i.dtype != np.int64:  # an id past int64 is an object
+            return None
+        done = filled + weights.size
+        ei[filled:done], ej[filled:done], w[filled:done] = i, j, weights
+        start, filled = stop + 2, done
+    return dict(head + tail[1:]), ei, ej, w
+
+
 def load_graph(path) -> RelationshipGraph:
     """Read a graph file; errors name it, and a bad edge's index and broken rule.
 
-    The cyclic collector is paused while the file is read: json.load's
-    lists hold no cycles, yet every collection they set off would walk
-    them all.  The collector's state is restored on every exit, so one
-    the caller switched off stays off.
+    A file in `save_graph`'s layout is parsed a chunk of its edge list
+    at a time (`_saved_edges`), so that only one chunk's Python lists
+    are alive at once: the peak is about the file's size, plus 24 bytes
+    per edge, plus one chunk.  Any other file, and any file with a fault,
+    is read again as one document, which gives the same graph and names
+    the fault.  The cyclic collector is paused while the file is read:
+    json's lists hold no cycles, yet every collection they set off would
+    walk them all.  The collector's state is restored on every exit, so
+    one the caller switched off stays off.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
+        path = Path(path)
+        saved = _saved_edges(path)
+        if saved is not None:
+            try:
+                return _graph(path, *saved)
+            except GraphError:
+                pass  # the whole-document reader names the fault
         return _read_graph(path)
     finally:
         if collecting:

@@ -91,7 +91,8 @@ class TestSynth:
     @pytest.mark.parametrize("raw", [
         b'{"clusters": [{"center": [0, 0], "stddev": 1.0, "count": ' + b"1" * 5000 + b"}]}",
         b'{"clusters": [{"center": [0, 0], "stddev": 1.0, "count": 5}], "x": "\xff"}',
-    ], ids=["integer-past-digit-limit", "not-utf8"])
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["integer-past-digit-limit", "not-utf8", "nested-past-recursion-limit"])
     def test_unreadable_spec_is_an_input_error(self, tmp_path, capsys, raw):
         spec = tmp_path / "spec.json"
         spec.write_bytes(raw)
@@ -514,6 +515,24 @@ class TestErrorSurface:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["score", "verify"])
+    @pytest.mark.parametrize("raw", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"n": 3, "method": "tsne", "param": ' + b"[" * 100_000 + b"]" * 100_000
+        + b', "edges": [[0, 1, 0.5]]}',
+        b'{"n": 3, "method": "tsne", "param": 30, "edges": [[0, 1, 0.5], [0, 2, '
+        + b"[" * 100_000 + b"]" * 100_000 + b"]]}",
+    ], ids=["document", "head", "edge"])
+    def test_graph_nested_past_recursion_limit_is_an_input_error(self, blobs_csv, tmp_path,
+                                                                 capsys, command, raw):
+        graph = tmp_path / "g.json"
+        graph.write_bytes(raw)
+        out = ("--out", str(tmp_path / "r.json")) if command == "score" else ()
+        assert run(command, "--graph", str(graph), "--data", str(blobs_csv), *out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {graph}: invalid JSON: maximum recursion depth")
+        assert err.count("\n") == 1
 
     def test_help_exits_zero(self, capsys):
         assert run("--help") == 0

@@ -855,6 +855,29 @@ class TestLoadPausesCollector:
             gc.enable()
 
 
+class TestLoadMemory:
+    """load_graph holds the file, the edge arrays and one chunk's lists, not
+    a Python list per edge."""
+
+    def test_peak_traced_bytes(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(22))
+        ei, ej = np.triu_indices(700, 1)  # 244,650 edges, t-SNE-sized weights
+        graph = RelationshipGraph(700, ei, ej, rng.uniform(1e-9, 1e-6, ei.size),
+                                  GraphProvenance("tsne", 30.0, {"prune_eps": 1e-8}))
+        path = tmp_path / "g.json"
+        save_graph(graph, path)
+        load_graph(path)  # warm-up: first-call allocations are not traced
+        tracemalloc.start()
+        try:
+            loaded = load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.weights.tobytes() == graph.weights.tobytes()
+        # the file's 37 bytes per edge, 24 for the arrays and one chunk; 246 per edge before
+        assert peak <= 100 * graph.n_edges
+
+
 def lexsort_edges(ei, ej, w):
     """The edge order the constructor once built with a lexsort."""
     ei, ej = np.asarray(ei).astype(np.int64), np.asarray(ej).astype(np.int64)

@@ -7,16 +7,22 @@ hypothesis (derandomized, so every run sees the same corpus): valid graphs
 with random edge order, plus wrong arity, non-list edges, float, bool,
 string and huge endpoints, self-loops, i > j, out-of-range endpoints,
 duplicates, non-finite, zero, negative, bool, string and huge weights,
-several faults at once, and bad header fields.
+several faults at once, and bad header fields.  Each document is also
+loaded in other forms (`_forms`), with the default and with 24-byte
+chunks, so that both of load_graph's readers meet the reference: the
+chunked one that reads save_graph's layout and the whole-document one
+it falls back to.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relscore import graphs as graphs_module
 from relscore.graphs import (
     GraphError,
     GraphProvenance,
@@ -224,3 +230,90 @@ def test_load_graph_matches_the_per_edge_loop(tmp_path_factory):
 
     check()
     assert reached == set(EDGE_REASONS) | {"valid", "header", "named the weight"}
+
+
+def _forms(doc, expected, folder):
+    """Texts of the drawn `doc` in other forms: the chunked reader must read
+    save_graph's layout and fall back on any other, with the same outcome."""
+    text = json.dumps(doc)
+    forms = {"dumps": text,
+             "compact": json.dumps(doc, separators=(",", ":")),
+             "indented": json.dumps(doc, indent=1),
+             "one wider gap": text.replace("], [", "],  [", 1),
+             "bom": "\ufeff" + text}
+    if expected is not None:
+        save_graph(expected, folder / "saved.json")
+        forms["saved"] = (folder / "saved.json").read_text(encoding="utf-8")
+    if isinstance(doc, dict):
+        forms["reordered"] = json.dumps(dict(reversed(doc.items())))
+        for key, value in (("edges", [[0, 1, 1.0]]), ("edges", []), ("n", 2)):
+            forms[f"{key} {value} first"] = f'{{"{key}": {json.dumps(value)}, {text[1:]}'
+            forms[f"{key} {value} last"] = f'{text[:-1]}, "{key}": {json.dumps(value)}}}'
+        if "edges" in doc:  # the first '"edges": [' ends a key that is not "edges"
+            rest = json.dumps({key: value for key, value in doc.items() if key != "edges"})
+            forms["edges in a key"] = (f'{{"edges":{json.dumps(doc["edges"])}, '
+                                       f'"x\\"edges": [[0, 1, 1.0]], {rest[1:]}')
+        if isinstance(doc.get("edges"), list):
+            odd = [0, 1, "x" + "], [" * 16], [1, 2, "x]]"]  # a 24-byte chunk ends in the first
+            forms["brackets in the first edge"] = json.dumps(
+                {**doc, "edges": [odd[0], *doc["edges"]]})
+            forms["brackets in the last edge"] = json.dumps(
+                {**doc, "edges": [*doc["edges"], odd[1]]})
+        forms["brackets in head"] = json.dumps({"note": "x], [y]]", **doc})
+        forms["brackets in tail"] = json.dumps({**doc, "note": "]], [[0, 1, 0.5]]"})
+    return forms
+
+
+@pytest.mark.parametrize("load_bytes", [graphs_module._LOAD_BYTES, 24], ids=["default", "tiny"])
+def test_both_paths_match_the_per_edge_loop(tmp_path_factory, monkeypatch, load_bytes):
+    """Every form of every drawn document loads as the reference loads it,
+    whether the chunked reader takes it or the whole-document reader does;
+    with 24-byte chunks a valid graph spans many chunks and every fault
+    meets a chunk boundary."""
+    monkeypatch.setattr(graphs_module, "_LOAD_BYTES", load_bytes)
+    whole = []
+    read_graph = graphs_module._read_graph
+    monkeypatch.setattr(graphs_module, "_read_graph",
+                        lambda path: whole.append(path) or read_graph(path))
+    reached = set()
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(doc=documents())
+    def check(doc):
+        folder = tmp_path_factory.mktemp("forms")
+        path = folder / "g.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        expected, _ = _outcome(reference_load_graph, path)
+        for form, text in _forms(doc, expected, folder).items():
+            # the reference reads no byte-order mark, which load_graph skips
+            path.write_text(text.removeprefix("\ufeff"), encoding="utf-8")
+            want, reference_message = _outcome(reference_load_graph, path)
+            path.write_text(text, encoding="utf-8")
+            del whole[:]
+            graph, message = _outcome(load_graph, path)
+            if form == "saved":  # save_graph's layout never needs the whole-document reader
+                assert whole == []
+                reached.add("chunked")
+            if reference_message is not None:
+                fault = _edge_fault(reference_message, path)
+                reached.add(fault[1].split(" (")[0].split(", got")[0].split(" 0..")[0]
+                            if fault else "header")
+                if message != reference_message:  # the difference the test above allows
+                    t, reason = fault
+                    i, j, weight = json.loads(text.removeprefix("\ufeff"))["edges"][t]
+                    assert reason.startswith(ENDPOINT_RULES)
+                    assert type(i) is int and type(j) is int
+                    assert type(weight) not in (int, float)
+                    assert message == f"{path}: edges[{t}]: weight must be a number"
+                continue
+            reached.add("valid")
+            assert message is None, (form, message)
+            assert graph.n_vertices == want.n_vertices
+            for got, ref in ((graph.edges_i, want.edges_i), (graph.edges_j, want.edges_j),
+                             (graph.weights, want.weights)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert graph.provenance == want.provenance
+            assert type(graph.provenance.param) is type(want.provenance.param)
+
+    check()
+    assert reached == set(EDGE_REASONS) | {"valid", "header", "chunked"}
