@@ -420,15 +420,9 @@ def _cmd_verify(args) -> int:
     fast = report(graph, labels, config)
     slow = brute_force_report(graph, labels, args.alpha, args.beta)
     deviations = {
-        "vertex_precision": float(np.max(np.abs(
-            fast.vertex_precision - slow.vertex_precision))),
-        "vertex_recall": float(np.max(np.abs(
-            fast.vertex_recall - slow.vertex_recall))),
-        "vertex_fscore": float(np.max(np.abs(
-            fast.vertex_fscore - slow.vertex_fscore))),
-        "global_precision": abs(fast.global_precision - slow.global_precision),
-        "global_recall": abs(fast.global_recall - slow.global_recall),
-        "global_fscore": abs(fast.global_fscore - slow.global_fscore),
+        name: float(np.max(np.abs(getattr(fast, name) - getattr(slow, name))))
+        for name in ("vertex_precision", "vertex_recall", "vertex_fscore",
+                     "global_precision", "global_recall", "global_fscore")
     }
     worst = max(deviations.values())
     print(json.dumps(

@@ -682,11 +682,7 @@ def save_graph(graph: RelationshipGraph, path) -> None:
     prov = graph.provenance
     ei, ej, w = graph.edges_i, graph.edges_j, graph.weights
     # encoded before the file is opened: a value json cannot write leaves no file behind
-    head = (f'{{"n": {json.dumps(graph.n_vertices)}, '
-            f'"method": {json.dumps(prov.method)}, '
-            f'"param": {json.dumps(prov.param)}, "edges": [').encode()
-    tail = ("]" + (f', "options": {json.dumps(prov.options)}' if prov.options else "")
-            + "}\n").encode()
+    head, tail = _head_tail(graph.n_vertices, prov.method, prov.param, prov.options)
     decades = np.zeros((5, 2047))  # one column per biased exponent, see _fill_decades
     with open(path, "wb") as fh:
         fh.write(head)
@@ -696,6 +692,15 @@ def save_graph(graph: RelationshipGraph, path) -> None:
                 fh.write(b", ")
             fh.write(_edge_bytes(ei[part], ej[part], w[part], decades)[:-2])
         fh.write(tail)
+
+
+def _head_tail(n, method, param, options) -> tuple[bytes, bytes]:
+    """The bytes of a graph file before and after its edges' text: the one
+    definition of save_graph's layout, which _saved_edges also reads by."""
+    head = (f'{{"n": {json.dumps(n)}, "method": {json.dumps(method)}, '
+            f'"param": {json.dumps(param)}, "edges": [').encode()
+    tail = ("]" + (f', "options": {json.dumps(options)}' if options else "") + "}\n").encode()
+    return head, tail
 
 
 def _edge_bytes(ei: np.ndarray, ej: np.ndarray, w: np.ndarray, decades: np.ndarray) -> np.ndarray:
@@ -955,34 +960,19 @@ def _graph(path: Path, doc: dict, *edges) -> RelationshipGraph:
     return graph
 
 
-def _object_pairs(text: bytes) -> list | None:
-    """The key-value pairs of the JSON object `text`, in order, or None if it is not one."""
-    objects = []
-
-    def pairs(found):
-        objects.append(found)
-        return dict(found)
-
-    try:
-        doc = json.loads(text.decode(), object_pairs_hook=pairs)
-    except (ValueError, RecursionError):
-        return None
-    return objects[-1] if isinstance(doc, dict) else None  # the last object to close
-
-
 def _saved_edges(path: Path):
-    """(document, i, j, weights) of the graph file at `path` if it is in
-    save_graph's layout, else None.
+    """(document, i, j, weights) of the graph file at `path` if it holds
+    exactly the bytes save_graph writes, else None.
 
-    The layout is `…, "edges": [[i, j, w], [i, j, w]]…`.  The head up to
-    the edge list and the tail after it are parsed once, with the list
-    left empty; the list is parsed about `_LOAD_BYTES` at a time, each
-    chunk cut at a "], [" and read as one JSON array of edges, which is
-    copied into the edge arrays before the next chunk is parsed.  None
-    means these bytes are not vouched for: another layout or whitespace,
-    a later "edges" key, a chunk that is not JSON, or an edge that
-    `_json_edges` faults or whose id is past int64.  The whole-document
-    reader then reads the file and names any fault.
+    The document with its edge list emptied is parsed once and must
+    render back, through `_head_tail`, to the bytes before and after the
+    list.  The list is parsed about `_LOAD_BYTES` at a time, each chunk
+    cut at a "], [" and read as one JSON array of edges, which is copied
+    into the edge arrays before the next chunk is parsed.  None means
+    these bytes are not vouched for: any other layout, spelling or
+    encoding, a chunk that is not JSON, or an edge that `_json_edges`
+    faults or whose id is past int64.  The whole-document reader then
+    reads the file.
     """
     data = _file_bytes(path, GraphError)
     marker = b'"edges": ['
@@ -992,11 +982,13 @@ def _saved_edges(path: Path):
     end = start if data[start] == ord("]") else data.find(b"]]", start) + 1
     if end == 0:
         return None
-    head = _object_pairs(data[:start] + b"]}")
-    tail = _object_pairs(b'{"edges": []' + data[end + 1:])
-    # the list must be the last "edges" value: json keeps a repeated key's last one
-    if (head is None or tail is None or head[-1][0] != "edges"
-            or any(key == "edges" for key, _ in tail[1:])):
+    try:
+        doc = json.loads(data[:start] + data[end:])
+    except (ValueError, RecursionError):
+        return None
+    if not (isinstance(doc, dict) and _head_tail(
+            doc.get("n"), doc.get("method"), doc.get("param"), doc.get("options"))
+            == (data[:start], data[end:])):
         return None
     count = data.count(b"[", start, end)  # one per edge, once every chunk reads as numeric edges
     ei, ej, w = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64), np.empty(count)
@@ -1015,33 +1007,30 @@ def _saved_edges(path: Path):
         done = filled + weights.size
         ei[filled:done], ej[filled:done], w[filled:done] = i, j, weights
         start, filled = stop + 2, done
-    return dict(head + tail[1:]), ei, ej, w
+    return doc, ei, ej, w
 
 
 def load_graph(path) -> RelationshipGraph:
     """Read a graph file; errors name it, and a bad edge's index and broken rule.
 
-    A file in `save_graph`'s layout is parsed a chunk of its edge list
-    at a time (`_saved_edges`), so that only one chunk's Python lists
-    are alive at once: the peak is about the file's size, plus 24 bytes
-    per edge, plus one chunk.  Any other file, and any file with a fault,
-    is read again as one document, which gives the same graph and names
-    the fault.  The cyclic collector is paused while the file is read:
-    json's lists hold no cycles, yet every collection they set off would
-    walk them all.  The collector's state is restored on every exit, so
-    one the caller switched off stays off.
+    A file that holds exactly the bytes `save_graph` writes is parsed a
+    chunk of its edge list at a time (`_saved_edges`), so that only one
+    chunk's Python lists are alive at once: the peak is about the file's
+    size, plus 24 bytes per edge, plus one chunk.  Any other layout
+    (reordered or repeated keys, other whitespace or number spellings, a
+    byte-order mark) and any edge of the wrong type is read as one
+    document, at about 246 bytes per edge.  Both readers give the same
+    graph and the same messages.  The cyclic collector is paused while the
+    file is read: json's lists hold no cycles, yet every collection they
+    set off would walk them all.  The collector's state is restored on
+    every exit, so one the caller switched off stays off.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
         path = Path(path)
         saved = _saved_edges(path)
-        if saved is not None:
-            try:
-                return _graph(path, *saved)
-            except GraphError:
-                pass  # the whole-document reader names the fault
-        return _read_graph(path)
+        return _read_graph(path) if saved is None else _graph(path, *saved)
     finally:
         if collecting:
             gc.enable()

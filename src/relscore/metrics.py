@@ -374,9 +374,10 @@ def _label_weight(graph: RelationshipGraph, stats: _GraphStats) -> np.ndarray:
     li, lj = lab[ei], lab[ej]
     # (row label, column label) of each entry of concat(edges_j, edges_i)
     pair_key = np.concatenate((lj * n_labels + li, li * n_labels + lj))
-    weights = np.concatenate((graph.weights, graph.weights))
+    # every index of order is below 2E: wrapping reads concat(weights, weights)
+    weights = np.take(graph.weights, order, mode="wrap")
     return np.bincount(
-        pair_key[order], weights=weights[order], minlength=n_labels * n_labels
+        pair_key[order], weights=weights, minlength=n_labels * n_labels
     ).reshape(n_labels, n_labels)
 
 

@@ -456,6 +456,10 @@ class TestVerifyExport:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True
         assert out["max_abs_deviation"] <= 1e-12
+        assert sorted(out["deviations"]) == sorted(
+            f"{scope}_{score}" for scope in ("vertex", "global")
+            for score in ("precision", "recall", "fscore"))
+        assert {type(value) for value in out["deviations"].values()} == {float}
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_bad_tolerance_rejected_before_reading(self, tmp_path, capsys, tolerance):

@@ -338,3 +338,21 @@ class TestScoringMemory:
                 tracemalloc.stop()
             # about 2.2 (five labels) and 3.2 (one label) edges' worth; 10 before
             assert peak < 4 * graph.n_edges * 8
+
+    @pytest.mark.parametrize("labeling", ["one", "five"])
+    def test_report_peak_traced_bytes(self, graph, labeling):
+        """The whole-graph report gathers the label weights from one copy of
+        the weights, not from both directions' concatenation."""
+        data, graph = graph
+        ids = (np.zeros(data.n, dtype=np.int64) if labeling == "one"
+               else np.arange(data.n) % 5)
+        labels = LabelAssignment(ids, tuple("abcde")[: int(ids.max()) + 1])
+        report(graph, labels)  # warm-up: first-call allocations are not traced
+        tracemalloc.start()
+        try:
+            report(graph, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 6.92 edges' worth with either labeling; 8.92 with the concatenated weights
+        assert peak < 8 * graph.n_edges * 8

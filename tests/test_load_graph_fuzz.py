@@ -11,7 +11,9 @@ several faults at once, and bad header fields.  Each document is also
 loaded in other forms (`_forms`), with the default and with 24-byte
 chunks, so that both of load_graph's readers meet the reference: the
 chunked one that reads save_graph's layout and the whole-document one
-it falls back to.
+it falls back to.  One form renders the document, faults included, in
+save_graph's exact bytes (`_layout`), so the chunked reader alone must
+name every fault of an edge list whose edges have the right types.
 """
 
 import json
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relscore import graphs as graphs_module
@@ -232,6 +234,29 @@ def test_load_graph_matches_the_per_edge_loop(tmp_path_factory):
     assert reached == set(EDGE_REASONS) | {"valid", "header", "named the weight"}
 
 
+def _layout(doc):
+    """`doc` in save_graph's exact bytes, or None when its keys are not
+    save_graph's: n, method, param, an edge list, and a non-empty options
+    object if any."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
+        return None
+    options = doc.get("options")
+    keys = {"n", "method", "param", "edges"} | ({"options"} if options else set())
+    if set(doc) != keys or (options and not isinstance(options, dict)):
+        return None
+    head, tail = graphs_module._head_tail(doc["n"], doc["method"], doc["param"], options)
+    return (head + ", ".join(json.dumps(edge) for edge in doc["edges"]).encode()
+            + tail).decode()
+
+
+def _typed(edges):
+    """Whether every edge is [int, int, number] with int64 endpoints: the
+    edge lists the chunked reader reads itself, whatever rule they break."""
+    return all(type(edge) is list and len(edge) == 3 and type(edge[2]) in (int, float)
+               and all(type(v) is int and -2 ** 63 <= v < 2 ** 63 for v in edge[:2])
+               for edge in edges)
+
+
 def _forms(doc, expected, folder):
     """Texts of the drawn `doc` in other forms: the chunked reader must read
     save_graph's layout and fall back on any other, with the same outcome."""
@@ -241,6 +266,8 @@ def _forms(doc, expected, folder):
              "indented": json.dumps(doc, indent=1),
              "one wider gap": text.replace("], [", "],  [", 1),
              "bom": "\ufeff" + text}
+    if (layout := _layout(doc)) is not None:
+        forms["layout"] = layout
     if expected is not None:
         save_graph(expected, folder / "saved.json")
         forms["saved"] = (folder / "saved.json").read_text(encoding="utf-8")
@@ -275,10 +302,14 @@ def test_both_paths_match_the_per_edge_loop(tmp_path_factory, monkeypatch, load_
     read_graph = graphs_module._read_graph
     monkeypatch.setattr(graphs_module, "_read_graph",
                         lambda path: whole.append(path) or read_graph(path))
-    reached = set()
+    reached, chunked = set(), set()
 
     @settings(max_examples=600, derandomize=True, deadline=None)
     @given(doc=documents())
+    # header faults beside well-typed edges, which the drawn corpus seldom pairs
+    @example(doc={"n": 0, "method": "tsne", "param": 30, "edges": [[0, 1, 0.5]]})
+    @example(doc={"n": 3, "method": "pca", "param": None, "edges": [[0, 1, 0.5], [1, 2, 1]]})
+    @example(doc={"n": 3, "method": "umap", "param": "thirty", "edges": [[0, 2, 0.5]]})
     def check(doc):
         folder = tmp_path_factory.mktemp("forms")
         path = folder / "g.json"
@@ -294,6 +325,9 @@ def test_both_paths_match_the_per_edge_loop(tmp_path_factory, monkeypatch, load_
             if form == "saved":  # save_graph's layout never needs the whole-document reader
                 assert whole == []
                 reached.add("chunked")
+            if form == "layout" and _typed(doc["edges"]):  # every fault named without a re-read
+                assert whole == [], message
+                chunked.add("valid" if message is None else message.removeprefix(f"{path}: "))
             if reference_message is not None:
                 fault = _edge_fault(reference_message, path)
                 reached.add(fault[1].split(" (")[0].split(", got")[0].split(" 0..")[0]
@@ -317,3 +351,9 @@ def test_both_paths_match_the_per_edge_loop(tmp_path_factory, monkeypatch, load_
 
     check()
     assert reached == set(EDGE_REASONS) | {"valid", "header", "chunked"}
+    # the faults a well-typed edge list or the header can hold, each named by the chunked reader
+    faults = {message.split("]: ", 1)[-1].split(" (")[0].split(", got")[0].split(" 0..")[0]
+              for message in chunked}
+    assert set(EDGE_REASONS[2:6]) | {"weight must be positive and finite", "valid"} <= faults
+    assert {"'n' must be a positive integer, got 0", "'param' must be a number or null",
+            f"method must be one of {graphs_module.GRAPH_METHODS}, got 'pca'"} <= chunked
