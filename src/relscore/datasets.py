@@ -370,12 +370,17 @@ def _intern(names: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def save_dataset(dataset: Dataset, labels: LabelAssignment, path,
                  label_column: str = "label") -> None:
-    """Write features as x0..x{m-1} plus a label column, full precision."""
+    """Write features as x0..x{m-1} plus a label column, full precision; a
+    label column named like a feature column is refused, as no loader reads it."""
     if labels.n != dataset.n:
         raise DatasetError(
             f"label count {labels.n} != dataset row count {dataset.n}"
         )
-    _write_csv(path, [f"x{j}" for j in range(dataset.dim)] + [label_column],
+    features = [f"x{j}" for j in range(dataset.dim)]
+    if label_column in features:
+        raise DatasetError(f"label column {label_column!r} names a feature column "
+                           f"(x0..x{dataset.dim - 1})")
+    _write_csv(path, features + [label_column],
                ([*map(repr, row), labels.name_of(i)]
                 for i, row in enumerate(dataset.values.tolist())))
 

@@ -214,21 +214,19 @@ def _check_method(method, prune_eps=None, error=GraphError) -> None:
         _checked_prune_eps(prune_eps, error)
 
 
-def _bisect_bandwidth(row_objective, n, target, tol, skip=None, screen=None):
+def _bisect_bandwidth(row_objective, n, target, skip=None, step=None):
     """Per-row bisection of a monotone-increasing objective over log10(sigma).
 
     row_objective(rows, sigma) evaluates the target quantity for the given
-    row indices at the given bandwidths.  Rows that never reach the
-    tolerance get their bandwidth clamped to the search bound on the
-    unreachable side and stay flagged as non-converged.
+    row indices at the given bandwidths.  Rows that never reach
+    CALIBRATION_TOL get their bandwidth clamped to the search bound on the
+    unreachable side, with row_objective's value there, and stay flagged
+    as non-converged.
 
-    screen(rows, sigma), if given, stands in for row_objective inside the
-    loop.  It returns (approx, margin, exact): approximations whose
-    distance from row_objective's values is at most `margin`, and
-    exact(mask), row_objective's values for the masked rows, to be called
-    before the next screen call.  A row keeps its approximation only where
-    that decides both tests of the step, so every output is the same as
-    without the screen.
+    step(rows, sigma), if given, evaluates each step in row_objective's
+    place.  Each value it returns must be row_objective's, or lie on the
+    same side of target as it with both more than CALIBRATION_TOL away,
+    so every output is the same as with row_objective.
     """
     lo = np.full(n, _SIGMA_LOG10_MIN)
     hi = np.full(n, _SIGMA_LOG10_MAX)
@@ -238,24 +236,16 @@ def _bisect_bandwidth(row_objective, n, target, tol, skip=None, screen=None):
     active = np.arange(n)
     if skip is not None:
         active = active[~skip]
+    step = row_objective if step is None else step
     for _ in range(MAX_BISECTIONS):
         if active.size == 0:
             break
         mid = 0.5 * (lo[active] + hi[active])
         s = np.power(10.0, mid)
-        if screen is None:
-            got = row_objective(active, s)
-        else:
-            got, margin, exact = screen(active, s)
-            # outside `close` the exact value lies more than tol from target,
-            # on got's side: done and too_high below come out as they would
-            # for it.  Written so that a NaN approximation is close.
-            close = ~(np.abs(got - target) > tol + margin)
-            if close.any():
-                got[close] = exact(close)
+        got = step(active, s)
         sigma[active] = s
         achieved[active] = got
-        done = np.abs(got - target) <= tol
+        done = np.abs(got - target) <= CALIBRATION_TOL
         converged[active[done]] = True
         too_high = got > target
         hi[active[too_high & ~done]] = mid[too_high & ~done]
@@ -264,7 +254,7 @@ def _bisect_bandwidth(row_objective, n, target, tol, skip=None, screen=None):
     if active.size:
         # unreachable target: clamp to the bound on the side the search
         # was pushing toward and report the value actually achieved there
-        # (a screened achieved value is on the exact one's side of target)
+        # (a step's achieved value is on row_objective's side of target)
         under = achieved[active] < target
         sigma[active[under]] = 10.0 ** _SIGMA_LOG10_MAX
         sigma[active[~under]] = 10.0 ** _SIGMA_LOG10_MIN
@@ -359,8 +349,8 @@ def _window_exponents(distances: np.ndarray) -> np.ndarray:
 def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
     """`solve` run over row blocks of the distance lists on the kNN pool.
 
-    solve(distances) returns (sigma, achieved, converged, weights) for
-    its rows.  A block holds `block_rows(k)` rows, the kNN block
+    solve(distances, target) returns (sigma, achieved, converged, weights)
+    for its rows.  A block holds `block_rows(k)` rows, the kNN block
     budget, and writes only its own rows; each row's bisection reads its
     row alone, so neither blocks nor `threads` change a bit.
 
@@ -383,7 +373,7 @@ def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
         scaled = exponents.any()
         if scaled:
             distances = np.ldexp(distances, -exponents[:, None])
-        s, achieved[rows], converged[rows], weights[rows] = solve(distances)
+        s, achieved[rows], converged[rows], weights[rows] = solve(distances, target)
         sigma[rows] = np.ldexp(s, exponents) if scaled else s
 
     run_blocks(block, range(0, n, chunk), threads)
@@ -447,7 +437,7 @@ def xlogy(x, y):
     return scipy_xlogy(x, y)
 
 
-def _tsne_rows(distances: np.ndarray, perplexity: float):
+def _tsne_rows(distances: np.ndarray, target: float):
     """`_calibrated`'s t-SNE solve over rows of ascending distances.
 
     The screen's margin assumes e_j <= 1, that is no distance below the
@@ -458,7 +448,6 @@ def _tsne_rows(distances: np.ndarray, perplexity: float):
     nd2s = d2 - d2[:, :1]  # shift by the row minimum: conditionals unchanged
     del d2
     np.negative(nd2s, out=nd2s)  # once here, not in every evaluation
-    target = float(perplexity)
     scale = _tsne_screen_scale(nd2s.shape[1])
 
     def exponents(rows, sigma, out=None):  # a new array unless `out` is given
@@ -487,7 +476,7 @@ def _tsne_rows(distances: np.ndarray, perplexity: float):
     # size each step raised peak RSS by about 3.5 MB on 3000 points, 2 threads
     buffers = np.empty((2, *nd2s.shape))
 
-    def screen(rows, sigma):
+    def step(rows, sigma):
         # Hbeta of van der Maaten & Hinton (2008): H = ln S + sum e_j d_j / (2 sigma^2 S)
         t = exponents(rows, sigma, out=buffers[0, :rows.size])
         e = np.exp(t, out=buffers[1, :rows.size])
@@ -496,17 +485,18 @@ def _tsne_rows(distances: np.ndarray, perplexity: float):
         got /= total
         np.subtract(np.log(total), got, out=got)
         np.exp(got, out=got)
-
-        def exact(close):
+        # the screen's value, kept outside `close`, and the exact one lie on
+        # one side of target, more than tol away.  A NaN screen value is close.
+        margin = scale * (got + (target + CALIBRATION_TOL))
+        close = ~(np.abs(got - target) > CALIBRATION_TOL + margin)
+        if close.any():
             p = e[close]
             p /= total[close, None]
-            return perplexities(p)
-
-        return got, scale * (got + (target + CALIBRATION_TOL)), exact
+            got[close] = perplexities(p)
+        return got
 
     n = nd2s.shape[0]
-    sigma, achieved, converged = _bisect_bandwidth(row_objective, n, target,
-                                                   CALIBRATION_TOL, screen=screen)
+    sigma, achieved, converged = _bisect_bandwidth(row_objective, n, target, step=step)
     return sigma, achieved, converged, conditionals(np.arange(n), sigma)
 
 
@@ -514,8 +504,7 @@ def _parts(method: str, nbrs: NeighborLists, k, threads: int | None):
     """Calibration and directed weights over the neighbor lists: t-SNE's
     conditionals p_{j|i} at perplexity k, or UMAP's memberships."""
     if method == "tsne":
-        return _calibrated(nbrs, float(k), lambda distances: _tsne_rows(distances, k),
-                           threads)
+        return _calibrated(nbrs, float(k), _tsne_rows, threads)
     return _calibrated(nbrs, math.log2(nbrs.k), _umap_rows, threads)
 
 
@@ -623,20 +612,17 @@ def fuzzy_union(w_a: float, w_b: float):
     return hi
 
 
-def _umap_rows(distances: np.ndarray):
+def _umap_rows(distances: np.ndarray, target: float):
     n, n_neighbors = distances.shape
     rho = distances[:, 0]
     adj = np.maximum(distances - rho[:, None], 0.0)
     # all candidates at distance rho: membership sum is k for any sigma
     degenerate = adj.max(axis=1) == 0.0
-    target = math.log2(n_neighbors)
 
     def row_objective(rows, sigma):
         return np.exp(-adj[rows] / sigma[:, None]).sum(axis=1)
 
-    sigma, achieved, converged = _bisect_bandwidth(
-        row_objective, n, target, CALIBRATION_TOL, skip=degenerate
-    )
+    sigma, achieved, converged = _bisect_bandwidth(row_objective, n, target, skip=degenerate)
     sigma[degenerate] = 1.0
     achieved[degenerate] = float(n_neighbors)
     return sigma, achieved, converged, np.exp(-adj / sigma[:, None])

@@ -67,13 +67,10 @@ class MetricConfig:
     quadrant_threshold: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise MetricsError(f"alpha must be in [0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_beta(self.beta)
-        if not 0.0 < self.quadrant_threshold < 1.0:
-            raise MetricsError(
-                f"quadrant_threshold must be in (0, 1), got {self.quadrant_threshold}"
-            )
+        _check_number("quadrant_threshold", self.quadrant_threshold,
+                      0.0 < self.quadrant_threshold < 1.0, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -212,9 +209,20 @@ def _recall(tp_count, fn_edge, fn_component, alpha: float) -> np.ndarray:
     return out
 
 
+def _check_number(name: str, value, valid: bool, rule: str) -> None:
+    """MetricsError for a boolean `value`, then unless `valid`."""
+    if isinstance(value, (bool, np.bool_)):
+        raise MetricsError(f"{name} must be a number, got {value}")
+    if not valid:
+        raise MetricsError(f"{name} must be {rule}, got {value}")
+
+
+def _check_alpha(alpha) -> None:
+    _check_number("alpha", alpha, 0.0 <= alpha <= 1.0, "in [0, 1]")
+
+
 def _check_beta(beta) -> None:
-    if not 0.0 < beta < math.inf:
-        raise MetricsError(f"beta must be positive and finite, got {beta}")
+    _check_number("beta", beta, 0.0 < beta < math.inf, "positive and finite")
     # _fscore weighs precision by beta^2: where that overflows, inf/inf is NaN
     with np.errstate(over="ignore"):
         square = beta * beta
@@ -245,8 +253,7 @@ def recall_vertex(tallies: VertexTallies, alpha: float) -> float:
 
     1 when the vertex's label has no other member.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise MetricsError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     return float(_recall(len(tallies.tp_ids), tallies.fn_edge_count,
                          tallies.fn_component_count, alpha))
 

@@ -250,6 +250,8 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
         label_target = config.target.split(":", 1)[1]
         if label_target not in labels.vocabulary:
             raise OptimizerError(f"unknown target label {label_target!r}")
+        if not labels.counts()[labels.vocabulary.index(label_target)]:
+            raise OptimizerError(f"target label {label_target!r} has no members")
 
     # the neighbor count grows with k, so k_max's lists cover every trial
     neighbors = shared_neighbors(method, dataset, [config.k_max], threads=threads)
@@ -260,10 +262,6 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
         per_label = _label_fscores(graph, labels, config.metric)
         stuck = graph.provenance.options["non_converged"]
         if label_target is not None:
-            if label_target not in per_label:
-                raise OptimizerError(
-                    f"target label {label_target!r} has no members"
-                )
             return per_label[label_target], per_label, stuck
         return _balanced_mean(list(per_label.values())), per_label, stuck
 
@@ -280,7 +278,7 @@ def estimate(dataset: Dataset, labels: LabelAssignment, method: str,
         k = int(k)
         try:
             value, per_label, stuck = objective(k)
-        except (GraphError, MetricsError, OptimizerError) as exc:
+        except (GraphError, MetricsError) as exc:
             trials.append(Trial(k=k, fscore=None, per_label=None, error=str(exc)))
             failed.add(k)
             return

@@ -76,6 +76,14 @@ class TestSynth:
         assert run("synth", "--spec", str(spec), "--out", str(tmp_path / "d.csv")) == 1
         assert capsys.readouterr().err == f"error: {spec}: {message}\n"
 
+    def test_label_column_named_like_a_feature_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run("synth", "--preset", "three-blobs", "--label-col", "x1",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: label column 'x1' names a feature column (x0..x1)\n")
+        assert list(tmp_path.iterdir()) == []  # no data file, no sidecar
+
     def test_unindexable_count_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(datasets, "_box_muller", None)  # nothing is drawn
         spec = tmp_path / "spec.json"

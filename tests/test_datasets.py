@@ -100,6 +100,19 @@ class TestSaveRoundTrip:
         with pytest.raises(DatasetError):
             save_dataset(data, labels, tmp_path / "x.csv")
 
+    def test_label_column_named_like_a_feature_is_refused(self, tmp_path):
+        # no loader reads a header with two columns of one name
+        data = Dataset(np.zeros((2, 3)))
+        labels = LabelAssignment([0, 0], ("a",))
+        path = tmp_path / "d.csv"
+        for name in ("x0", "x2"):
+            with pytest.raises(DatasetError) as exc:
+                save_dataset(data, labels, path, label_column=name)
+            assert str(exc.value) == f"label column {name!r} names a feature column (x0..x2)"
+        assert not path.exists()
+        save_dataset(data, labels, path, label_column="x3")
+        assert load_dataset(path, label_column="x3")[0].dim == 3
+
 
 class TestLabelFile:
     def test_roundtrip(self, tmp_path):

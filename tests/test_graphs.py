@@ -1136,7 +1136,7 @@ def exact_tsne_rows(distances, perplexity):
 
     n = distances.shape[0]
     sigma, achieved, converged = graphs_module._bisect_bandwidth(
-        row_objective, n, float(perplexity), CALIBRATION_TOL
+        row_objective, n, float(perplexity)
     )
     return sigma, achieved, converged, conditionals(np.arange(n), sigma)
 
@@ -1165,7 +1165,7 @@ def unblocked_umap_parts(nbrs):
         return np.exp(-adj[rows] / sigma[:, None]).sum(axis=1)
 
     sigma, achieved, converged = graphs_module._bisect_bandwidth(
-        row_objective, n, target, CALIBRATION_TOL, skip=degenerate
+        row_objective, n, target, skip=degenerate
     )
     sigma[degenerate] = 1.0
     achieved[degenerate] = float(n_neighbors)
@@ -1427,12 +1427,12 @@ class TestEntropyScreen:
         scaled = NeighborLists(nbrs.indices, np.ldexp(nbrs.distances, power), nbrs.k)
         solved = []
 
-        def solve(distances):
+        def solve(distances, target):
             d2 = distances * distances
             assert (distances[:, 1:] >= distances[:, :-1]).all()
             assert (d2 >= d2[:, :1]).all()  # no e_j above the first one's 1
             solved.append(distances.shape[0])
-            return graphs_module._tsne_rows(distances, 10.0)
+            return graphs_module._tsne_rows(distances, target)
 
         cal, _ = graphs_module._calibrated(scaled, 10.0, solve, 1)
         assert sum(solved) == blobs[0].n and cal.all_converged
@@ -1446,16 +1446,14 @@ class TestEntropyScreen:
             exact.append(x.shape[0])
             return real_xlogy(x, y)
 
-        def counting_bisect(row_objective, n, target, tol, skip=None, screen=None):
-            assert screen is not None
+        def counting_bisect(row_objective, n, target, skip=None, step=None):
+            assert step is not None
 
-            def counted(fn):
-                def evaluate(rows, sigma):
-                    evaluations.append(rows.size)
-                    return fn(rows, sigma)
-                return evaluate
+            def counted_step(rows, sigma):
+                evaluations.append(rows.size)
+                return step(rows, sigma)
 
-            return real_bisect(counted(row_objective), n, target, tol, skip, counted(screen))
+            return real_bisect(row_objective, n, target, skip, counted_step)
 
         monkeypatch.setattr(graphs_module, "xlogy", counting_xlogy)
         monkeypatch.setattr(graphs_module, "_bisect_bandwidth", counting_bisect)

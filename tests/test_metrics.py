@@ -380,6 +380,27 @@ class TestConfig:
         assert fscore_vertex(0.5, 0.25, beta) == 0.25  # F tends to recall as beta grows
         assert fscore_vertex(0.5, 0.25, 2.0) == 5 * 0.5 * 0.25 / (4 * 0.5 + 0.25)
 
+    @pytest.mark.parametrize("value", [True, np.True_, False],
+                             ids=["true", "numpy-true", "false"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "quadrant_threshold"])
+    def test_boolean_setting_refused(self, field, value):
+        # a report's "config" must hold numbers, and JSON writes a boolean as true
+        with pytest.raises(MetricsError) as exc:
+            MetricConfig(**{field: value})
+        assert str(exc.value) == f"{field} must be a number, got {value}"
+
+    @pytest.mark.parametrize("value", [True, np.True_, False],
+                             ids=["true", "numpy-true", "false"])
+    def test_scalar_functions_refuse_a_boolean(self, value):
+        graph = make_graph(3, [(0, 1, 1.0)])
+        tallies = classify_neighbors(graph, make_labels([0, 0, 1], ("a", "b")), 0)
+        with pytest.raises(MetricsError) as exc:
+            recall_vertex(tallies, value)
+        assert str(exc.value) == f"alpha must be a number, got {value}"
+        with pytest.raises(MetricsError) as exc:
+            fscore_vertex(0.5, 0.5, value)
+        assert str(exc.value) == f"beta must be a number, got {value}"
+
     @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
     def test_beta_finite(self, beta):
         message = f"beta must be positive and finite, got {beta}"

@@ -5,7 +5,8 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from relscore.datasets import preset
+from relscore import graphs
+from relscore.datasets import LabelAssignment, preset
 from relscore.metrics import MetricConfig
 from relscore.optimizer import (
     OptimizerConfig,
@@ -150,6 +151,22 @@ class TestEstimate:
         config = OptimizerConfig(k_min=2, k_max=30, target="label:zzz")
         with pytest.raises(OptimizerError, match="zzz"):
             estimate(data, labels, "tsne", config)
+
+    def test_label_target_with_no_members_builds_nothing(self, blobs, monkeypatch):
+        data, labels = blobs
+        labels = LabelAssignment(labels.labels, labels.vocabulary + ("empty",))
+        builds, real_build = [], graphs.build_umap_graph
+
+        def counting_build(*args, **kwargs):
+            builds.append(args[1])
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "build_umap_graph", counting_build)
+        config = OptimizerConfig(k_min=5, k_max=60, budget=12, target="label:empty")
+        with pytest.raises(OptimizerError) as exc:
+            estimate(data, labels, "umap", config)
+        assert str(exc.value) == "target label 'empty' has no members"
+        assert builds == []
 
     def test_bounds_checked_against_dataset(self, blobs):
         data, labels = blobs
