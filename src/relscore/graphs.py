@@ -58,6 +58,7 @@ _LN2 = math.log(2.0)
 _EDGE_SLICE = 1 << 14  # edges rendered per write in save_graph
 _LOAD_BYTES = 1 << 19  # bytes of edge text parsed at a time in load_graph
 _WEIGHT_ROWS = 28  # columns of a weight's text in save_graph (see _weight_rows)
+_LOG_CHUNK = 1 << 12  # values per math.log pass in xlogy
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp's constant: halves a double for Dekker's product
 _REPR_MARGIN = 2.0 ** -32  # a certified decision's least distance, in last-digit units
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -224,9 +225,12 @@ def _bisect_bandwidth(row_objective, n, target, skip=None, step=None):
     as non-converged.
 
     step(rows, sigma), if given, evaluates each step in row_objective's
-    place.  Each value it returns must be row_objective's, or lie on the
-    same side of target as it with both more than CALIBRATION_TOL away,
-    so every output is the same as with row_objective.
+    place.  Each value it returns must be row_objective's, or lie in the
+    same one of three bands as it, clear of the band's edges: below
+    target - CALIBRATION_TOL, within CALIBRATION_TOL of target, or above
+    target + CALIBRATION_TOL.  Then sigma and converged are the same as
+    with row_objective, and so is achieved except where a converged row
+    took a step's value.
     """
     lo = np.full(n, _SIGMA_LOG10_MIN)
     hi = np.full(n, _SIGMA_LOG10_MAX)
@@ -417,9 +421,14 @@ def _tsne_screen_scale(k: int) -> float:
     Their sum, Delta <= (l + 1) (4 LIB + 3 gamma_{k+1}) + k 2^-1000,
     bounds |ln got - ln got'|, so |got - got'| <= 1.01 Delta got'.  The
     factor 2 in m covers that 1.01 and the roundings of m, of the margin
-    and of the rule's test, each below 4u (got' + target + tol); the
-    exact path's own test then sees |got - target| above tol by more
-    than its rounding.
+    and of the rule's tests, each below 4u (got' + target + tol).  So the
+    same Delta settles both edges of the tolerance band:
+    - outer edge: where |got' - target| > tol + margin, got lies on the
+      same side of target and the exact path's own test sees |got -
+      target| above tol by more than its rounding;
+    - inner edge: where |got' - target| <= tol - margin, that test sees
+      |got - target| at or below tol - (margin - 1.01 Delta got'), below
+      tol by more than its rounding, so the row converges there too.
     """
     lib = 2.0 ** -40
     ku = (k + 1) * 2.0 ** -53
@@ -427,18 +436,41 @@ def _tsne_screen_scale(k: int) -> float:
 
 
 def xlogy(x, y):
-    """scipy.special.xlogy, imported on the first call.
+    """x log(y), and 0 where x == 0 and y is not NaN, without scipy.
 
-    Only the t-SNE bisection's exact path needs it, so no other command
-    loads scipy.  `_tsne_rows` looks the name up in this module at each
-    call, so a test can patch it.
+    The log is libm's, which math.log wraps and scipy.special.xlogy
+    calls, so the bits are scipy's wherever y is not negative or NaN
+    (there both give a NaN); numpy's own log rounds differently.
+    math.log takes positive y only: y = 0 gets -inf and a negative or NaN
+    y gets NaN here.  The values pass through math.log _LOG_CHUNK at a
+    time, so the temporaries stay small.  `_perplexities` looks the name
+    up in this module at each call, so a test can patch it.
     """
-    from scipy.special import xlogy as scipy_xlogy
-    return scipy_xlogy(x, y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.empty(x.shape)
+    flat_x, flat_y, flat_out = x.ravel(), y.ravel(), out.reshape(-1)
+    for start in range(0, out.size, _LOG_CHUNK):
+        part = slice(start, start + _LOG_CHUNK)
+        xs, ys, logs = flat_x[part], flat_y[part], flat_out[part]
+        inside = ys > 0.0
+        logs[:] = list(map(math.log, np.where(inside, ys, 1.0).tolist()))
+        logs[~inside] = np.where(ys[~inside] == 0.0, -math.inf, math.nan)
+        zero = (xs == 0.0) & ~np.isnan(ys)
+        np.multiply(logs, xs, out=logs, where=~zero)  # 0 * -inf would warn
+        logs[zero] = 0.0
+    return out
+
+
+def _perplexities(p):
+    """2 to the entropy in bits of each row of conditionals p."""
+    return np.exp2(-xlogy(p, p).sum(axis=1) / _LN2)
 
 
 def _tsne_rows(distances: np.ndarray, target: float):
     """`_calibrated`'s t-SNE solve over rows of ascending distances.
+
+    A converged row's achieved value may be the screen's, within the
+    same band as the exact one; `tsne_calibration` restores the exact one.
 
     The screen's margin assumes e_j <= 1, that is no distance below the
     row's first: `NeighborLists` holds rows ascending and `_calibrated`
@@ -466,11 +498,8 @@ def _tsne_rows(distances: np.ndarray, target: float):
         e /= e.sum(axis=1, keepdims=True)
         return e
 
-    def perplexities(p):
-        return np.exp2(-xlogy(p, p).sum(axis=1) / _LN2)
-
     def row_objective(rows, sigma):
-        return perplexities(conditionals(rows, sigma))
+        return _perplexities(conditionals(rows, sigma))
 
     # the screen's t and e, reused by every step: fresh arrays of a new
     # size each step raised peak RSS by about 3.5 MB on 3000 points, 2 threads
@@ -485,14 +514,16 @@ def _tsne_rows(distances: np.ndarray, target: float):
         got /= total
         np.subtract(np.log(total), got, out=got)
         np.exp(got, out=got)
-        # the screen's value, kept outside `close`, and the exact one lie on
-        # one side of target, more than tol away.  A NaN screen value is close.
+        # the screen's value, kept outside `close`, and the exact one lie in
+        # one band: both within tol of target, or both beyond it on one side
+        # (see _tsne_screen_scale).  A NaN screen value is close.
         margin = scale * (got + (target + CALIBRATION_TOL))
-        close = ~(np.abs(got - target) > CALIBRATION_TOL + margin)
+        off = np.abs(got - target)
+        close = ~((off <= CALIBRATION_TOL - margin) | (off > CALIBRATION_TOL + margin))
         if close.any():
             p = e[close]
             p /= total[close, None]
-            got[close] = perplexities(p)
+            got[close] = _perplexities(p)
         return got
 
     n = nd2s.shape[0]
@@ -514,7 +545,11 @@ def tsne_calibration(dataset: Dataset, perplexity: float) -> BandwidthCalibratio
     The kNN pass and the calibration run on the usable cores.
     """
     count = neighbor_count("tsne", dataset.n, perplexity)
-    return _parts("tsne", exact_knn(dataset, count), perplexity, None)[0]
+    cal, conditionals = _parts("tsne", exact_knn(dataset, count), perplexity, None)
+    # a converged row's bisection may end on the screen's value; its exact
+    # value is that of its conditionals, the p of its last step
+    cal.achieved[cal.converged] = _perplexities(conditionals[cal.converged])
+    return cal
 
 
 def build_tsne_graph(dataset: Dataset, perplexity: float,

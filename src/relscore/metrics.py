@@ -10,6 +10,7 @@ first, then across labels, so class imbalance cannot dominate.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -70,7 +71,7 @@ class MetricConfig:
         _check_alpha(self.alpha)
         _check_beta(self.beta)
         _check_number("quadrant_threshold", self.quadrant_threshold,
-                      0.0 < self.quadrant_threshold < 1.0, "in (0, 1)")
+                      lambda t: 0.0 < t < 1.0, "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -209,20 +210,23 @@ def _recall(tp_count, fn_edge, fn_component, alpha: float) -> np.ndarray:
     return out
 
 
-def _check_number(name: str, value, valid: bool, rule: str) -> None:
-    """MetricsError for a boolean `value`, then unless `valid`."""
+def _check_number(name: str, value, valid, rule: str) -> None:
+    """MetricsError for a `value` that is a boolean or no real number, then
+    unless valid(value)."""
     if isinstance(value, (bool, np.bool_)):
         raise MetricsError(f"{name} must be a number, got {value}")
-    if not valid:
+    if not isinstance(value, numbers.Real):
+        raise MetricsError(f"{name} must be a number, got {value!r}")
+    if not valid(value):
         raise MetricsError(f"{name} must be {rule}, got {value}")
 
 
 def _check_alpha(alpha) -> None:
-    _check_number("alpha", alpha, 0.0 <= alpha <= 1.0, "in [0, 1]")
+    _check_number("alpha", alpha, lambda a: 0.0 <= a <= 1.0, "in [0, 1]")
 
 
 def _check_beta(beta) -> None:
-    _check_number("beta", beta, 0.0 < beta < math.inf, "positive and finite")
+    _check_number("beta", beta, lambda b: 0.0 < b < math.inf, "positive and finite")
     # _fscore weighs precision by beta^2: where that overflows, inf/inf is NaN
     with np.errstate(over="ignore"):
         square = beta * beta
@@ -261,8 +265,8 @@ def recall_vertex(tallies: VertexTallies, alpha: float) -> float:
 def fscore_vertex(precision: float, recall: float, beta: float) -> float:
     """Weighted harmonic mean of precision and recall; 0 at P = R = 0."""
     _check_beta(beta)
-    if not (0.0 <= precision <= 1.0 and 0.0 <= recall <= 1.0):
-        raise MetricsError("precision and recall must lie in [0, 1]")
+    for name, value in (("precision", precision), ("recall", recall)):
+        _check_number(name, value, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
     return float(_fscore(precision, recall, beta))
 
 

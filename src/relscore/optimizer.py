@@ -77,7 +77,8 @@ class OptimizerConfig:
             )
         if self.seed < 0:
             raise OptimizerError(f"seed must be nonnegative, got {self.seed}")
-        if self.target != "global" and not self.target.startswith("label:"):
+        if not isinstance(self.target, str) or (
+                self.target != "global" and not self.target.startswith("label:")):
             raise OptimizerError(
                 f"target must be 'global' or 'label:NAME', got {self.target!r}"
             )

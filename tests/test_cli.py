@@ -836,32 +836,31 @@ print(json.dumps(loaded))
 
 
 def test_commands_load_no_scipy(tmp_path):
-    """Only t-SNE calibration and `estimate` need scipy; no other command loads it."""
-    data, tsne = str(tmp_path / "data.csv"), str(tmp_path / "tsne.json")
-    assert run("synth", "--preset", "three-blobs", "--out", data) == 0
-    assert run("graph", "--data", data, "--method", "tsne", "--perplexity", "10",
-               "--out", tsne) == 0  # built here, so the probe can score it without scipy
-    umap = str(tmp_path / "umap.json")
+    """Only `estimate` needs scipy; no other command loads it."""
+    data = str(tmp_path / "data.csv")
+    tsne, umap = str(tmp_path / "tsne.json"), str(tmp_path / "umap.json")
     commands = [
-        ["synth", "--preset", "three-blobs", "--out", str(tmp_path / "synth.csv")],
+        ["synth", "--preset", "three-blobs", "--out", data],
+        ["graph", "--data", data, "--method", "tsne", "--perplexity", "10", "--out", tsne],
         ["graph", "--data", data, "--method", "umap", "--n-neighbors", "10", "--out", umap],
+        ["sweep", "--data", data, "--method", "tsne", "--k-list", "5,10",
+         "--out", str(tmp_path / "sweep-tsne.csv")],
         ["sweep", "--data", data, "--method", "umap", "--k-list", "5,10",
          "--out", str(tmp_path / "sweep.csv")],
         ["score", "--graph", tsne, "--data", data, "--out", str(tmp_path / "r.json"),
          "--per-vertex", str(tmp_path / "v.csv")],
         ["export", "--graph", umap, "--data", data, "--out", str(tmp_path / "e.csv")],
         ["verify", "--graph", tsne, "--data", data],
-        ["graph", "--data", data, "--method", "tsne", "--perplexity", "10",
-         "--out", str(tmp_path / "tsne2.json")],
+        ["estimate", "--data", data, "--method", "tsne", "--k-min", "2", "--k-max", "10",
+         "--budget", "3", "--n-init", "2", "--trace", str(tmp_path / "trace.json")],
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
                           capture_output=True, text=True, timeout=300,
                           env={"PYTHONPATH": src}, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    *scipy_free, tsne_graph = json.loads(proc.stdout.splitlines()[-1])
+    *scipy_free, estimated = json.loads(proc.stdout.splitlines()[-1])
     assert len(scipy_free) == len(commands)
     for step, modules in zip(["import", *commands[:-1]], scipy_free):
         assert modules == [], step
-    assert "scipy.special" in tsne_graph
-    assert not any(m.startswith("scipy.sparse") for m in tsne_graph)
+    assert "scipy.linalg" in estimated  # the surrogate's Cholesky solves

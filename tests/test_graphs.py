@@ -1192,8 +1192,15 @@ class TestBlockedCalibration:
     def same(a, b):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def check_calibration(self, got, want):
-        for name in ("sigma", "achieved", "converged"):
+    def check_calibration(self, got, want, conditionals=None):
+        # given t-SNE conditionals, a converged row's achieved value is taken
+        # from them: `_parts` may keep the entropy screen's value there
+        achieved = got.achieved
+        if conditionals is not None:
+            achieved = achieved.copy()
+            achieved[got.converged] = graphs_module._perplexities(conditionals[got.converged])
+        self.same(achieved, want.achieved)
+        for name in ("sigma", "converged"):
             self.same(getattr(got, name), getattr(want, name))
         assert got.target == want.target
 
@@ -1239,7 +1246,7 @@ class TestBlockedCalibration:
             blocks.clear()
             for threads in thread_counts:
                 cal, w = blocked(method, nbrs, k, threads)
-                self.check_calibration(cal, want_cal)
+                self.check_calibration(cal, want_cal, w if method == "tsne" else None)
                 self.same(w, want_w)
             graph = graphs_module.build_graph(method, data, k, neighbors=nbrs, threads=3)
             for a, b in zip((graph.edges_i, graph.edges_j, graph.weights),
@@ -1401,7 +1408,13 @@ class TestEntropyScreen:
         with np.errstate(all="ignore"):
             got = graphs_module._tsne_rows(distances, perplexity)
             want = exact_tsne_rows(distances, perplexity)
-        for a, b in zip(got, want):  # sigma, achieved, converged, conditionals
+        # a converged row may keep the screen's achieved value, in the exact
+        # value's band; its exact value is that of its returned conditionals
+        converged, conditionals = got[2], got[3]
+        achieved = got[1].copy()
+        assert (np.abs(achieved[converged] - perplexity) <= CALIBRATION_TOL).all()
+        achieved[converged] = graphs_module._perplexities(conditionals[converged])
+        for a, b in zip((got[0], achieved, converged, conditionals), want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("fast, libm, points", [
@@ -1438,7 +1451,8 @@ class TestEntropyScreen:
         assert sum(solved) == blobs[0].n and cal.all_converged
 
     def test_few_row_evaluations_take_the_exact_path(self, blobs, monkeypatch):
-        # only a bisection step within about tol of its target needs xlogy
+        # the screen settles every step of a blobs build, within or beyond tol;
+        # tsne_calibration evaluates each converged row once more, exactly
         exact, evaluations = [], []
         real_xlogy, real_bisect = graphs_module.xlogy, graphs_module._bisect_bandwidth
 
@@ -1461,7 +1475,47 @@ class TestEntropyScreen:
         for perplexity in (5.0, 30.0):
             exact.clear()
             evaluations.clear()
-            cal = tsne_calibration(data, perplexity)
-            assert cal.all_converged
+            graph = build_tsne_graph(data, perplexity)
+            assert graph.provenance.options["non_converged"] == 0
             assert sum(evaluations) >= 15 * data.n  # about 21 steps per row
-            assert 0 < sum(exact) < 0.1 * sum(evaluations)
+            assert exact == []
+            evaluations.clear()
+            cal = tsne_calibration(data, perplexity)
+            assert cal.all_converged and sum(evaluations) >= 15 * data.n
+            assert exact == [data.n]
+
+
+class TestXlogy:
+    """graphs.xlogy, libm's log through math.log, bitwise against scipy.special.xlogy."""
+
+    @staticmethod
+    def same_bits(x, y):
+        got, want = graphs_module.xlogy(x, y), xlogy(x, y)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_zeros_subnormals_and_one(self):
+        tiny = np.finfo(float).tiny
+        values = np.array([0.0, 5e-324, tiny / 3, tiny, 1e-300, 0.5, 1.0, 2.0, 1e300])
+        x, y = np.meshgrid(values, np.append(values, np.inf))
+        # x = 0 gives 0 at any y, x > 0 at y = 0 gives -inf
+        self.same_bits(x, y)
+
+    def test_uniform_values_across_chunks(self):
+        values = np.random.Generator(np.random.PCG64(26)).random(3 * graphs_module._LOG_CHUNK + 5)
+        self.same_bits(values, values)
+        self.same_bits(values[::-1], values)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 30.0, 1e4])
+    def test_conditional_rows(self, c):
+        # p_j = e_j / S as the bisection makes them: at small c far terms
+        # underflow to subnormals and zeros
+        d2 = np.sort(np.random.Generator(np.random.PCG64(27)).uniform(0.0, 2.0, (300, 40)))
+        e = np.exp(-(d2 - d2[:, :1]) / c)
+        p = e / e.sum(axis=1, keepdims=True)
+        assert c > 1e-3 or ((p > 0) & (p < np.finfo(float).tiny)).any() and (p == 0).any()
+        self.same_bits(p, p)
+
+    def test_negative_or_nan_y_gives_nan(self):
+        x, y = np.meshgrid([0.0, 0.5], [-1.0, np.nan, 0.0, 1.0])
+        np.testing.assert_array_equal(graphs_module.xlogy(x, y), xlogy(x, y))

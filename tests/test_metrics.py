@@ -400,6 +400,32 @@ class TestConfig:
         with pytest.raises(MetricsError) as exc:
             fscore_vertex(0.5, 0.5, value)
         assert str(exc.value) == f"beta must be a number, got {value}"
+        with pytest.raises(MetricsError) as exc:
+            fscore_vertex(value, 0.5, 1.0)
+        assert str(exc.value) == f"precision must be a number, got {value}"
+        with pytest.raises(MetricsError) as exc:
+            fscore_vertex(0.5, value, 1.0)
+        assert str(exc.value) == f"recall must be a number, got {value}"
+
+    @pytest.mark.parametrize("value", ["0.5", None, [0.5], np.array(0.5)],
+                             ids=["str", "none", "list", "0-d-array"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "quadrant_threshold"])
+    def test_setting_that_is_no_number_refused(self, field, value):
+        # checked before any comparison, which would raise a bare TypeError
+        with pytest.raises(MetricsError) as exc:
+            MetricConfig(**{field: value})
+        assert str(exc.value) == f"{field} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("precision, recall, message", [
+        ("0.5", 0.5, "precision must be a number, got '0.5'"),
+        (0.5, None, "recall must be a number, got None"),
+        (1.5, 0.5, "precision must be in [0, 1], got 1.5"),
+        (0.5, math.nan, "recall must be in [0, 1], got nan"),
+    ])
+    def test_fscore_vertex_checks_precision_and_recall(self, precision, recall, message):
+        with pytest.raises(MetricsError) as exc:
+            fscore_vertex(precision, recall, 1.0)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
     def test_beta_finite(self, beta):

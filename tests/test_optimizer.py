@@ -216,6 +216,8 @@ class TestEstimate:
         {"k_min": math.nan, "k_max": 10},
         {"k_min": 2, "k_max": math.inf},
         {"k_min": 2, "k_max": 10, "budget": -math.inf},
+        {"k_min": 2, "k_max": 10, "target": 5},
+        {"k_min": 2, "k_max": 10, "target": None},
     ])
     def test_invalid_config(self, bad):
         with pytest.raises(OptimizerError):
