@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -59,6 +60,7 @@ _EDGE_SLICE = 1 << 14  # edges rendered per write in save_graph
 _LOAD_BYTES = 1 << 19  # bytes of edge text parsed at a time in load_graph
 _WEIGHT_ROWS = 28  # columns of a weight's text in save_graph (see _weight_rows)
 _LOG_CHUNK = 1 << 12  # values per math.log pass in xlogy
+_PAIR_CHUNK = 1 << 13  # sorted records combined per slice in _pair_edges
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp's constant: halves a double for Dekker's product
 _REPR_MARGIN = 2.0 ** -32  # a certified decision's least distance, in last-digit units
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -194,11 +196,22 @@ def default_prune_eps(n_vertices: int) -> float:
     return 1e-8 / n_vertices
 
 
+def _check_real(name: str, value, error=GraphError) -> None:
+    """`error` for a `value` that is a boolean or no real number."""
+    if isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a number, got {value}")
+    if not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+
+
 def _checked_prune_eps(prune_eps, error=GraphError) -> float:
-    """prune_eps as a float if it is finite and nonnegative, else `error`."""
-    if isinstance(prune_eps, (bool, np.bool_)):
-        raise error(f"prune_eps must be a number, got {prune_eps}")
-    value = float(prune_eps)
+    """prune_eps as a float if it is finite and nonnegative, else `error`; an
+    integer past the double range reads as inf."""
+    _check_real("prune_eps", prune_eps, error)
+    try:
+        value = float(prune_eps)
+    except OverflowError:
+        value = math.inf
     if not 0.0 <= value < math.inf:
         raise error(f"prune_eps must be nonnegative and finite, got {value}")
     return value
@@ -275,7 +288,8 @@ def neighbor_count(method: str, n: int, k) -> int:
     """
     _check_method(method)
     if method == "tsne":
-        if not 2.0 <= float(k) <= n - 1:
+        _check_real("perplexity", k)
+        if not 2.0 <= k <= n - 1:
             raise GraphError(f"perplexity must be in [2, {n - 1}], got {k}")
         return min(math.ceil(3.0 * float(k)), n - 1)
     if integer_values(k)[1].any():
@@ -590,49 +604,72 @@ def _build(method: str, dataset: Dataset, k, prune_eps, neighbors: NeighborLists
         floor, combine, param, options = 0.0, fuzzy_union, int(k), {}
     nbrs = _neighbor_lists(dataset, count, neighbors, threads)
     cal, values = _parts(method, nbrs, k, threads)
-    edges = _pair_edges(n, nbrs.indices, values, combine, floor)
-    del nbrs, values  # freed before the graph copies the edges
+    key = _pair_keys(nbrs.indices)
+    del nbrs  # a fresh pass's lists and distances are freed before the grouping
+    edges = _pair_edges(n, key, values, combine, floor)
+    del key, values  # freed before the graph copies the edges
     options["non_converged"] = int(np.count_nonzero(~cal.converged))
     return RelationshipGraph(n, *edges, GraphProvenance(method, param, options))
 
 
-def _pair_edges(n, neighbor_indices, values, combine, floor):
-    """Edges of the unordered pairs in directed (source, neighbor, value) records.
-
-    Row i of the (n, k) `neighbor_indices` and `values` holds vertex i's
-    records, with no repeated neighbor.  Returns int64 i < j and float64
-    w, in (i, j) order: w = combine(first, second) of a pair's two
-    values, second 0 where only one direction exists, and pairs with
-    w <= floor are dropped.  Which direction comes first is not pinned,
-    so `combine` must be symmetric; it may overwrite its arguments.  One
-    unstable sort of min*n + max keys groups the records; about three
-    record-sized temporaries are live at the peak.
-    """
+def _pair_keys(neighbor_indices):
+    """The flat min*n + max key of each (source, neighbor) record in the (n, k)
+    `neighbor_indices`: one int64 per record, in row-major order."""
+    n = neighbor_indices.shape[0]
     rows = np.arange(n, dtype=np.int64)[:, None]
     key = np.minimum(neighbor_indices, rows)
     key *= n - 1
     key += neighbor_indices
     key += rows  # min*n + max, as min + max = i + j
-    key = key.reshape(-1)
+    return key.reshape(-1)
+
+
+def _pair_edges(n, key, values, combine, floor):
+    """Edges of the unordered pairs in directed (source, neighbor, value) records.
+
+    `key` holds `_pair_keys` of the (n, k) neighbor lists and `values` the
+    records' values, row by row; no row repeats a neighbor, so a pair has
+    one or two records.  Returns int64 i < j and float64 w, in (i, j)
+    order: w = combine(first, second) of a pair's two values, second 0
+    where only one direction exists, and pairs with w <= floor are
+    dropped.  Which direction comes first is not pinned, so `combine` must
+    be symmetric; it may overwrite its arguments.
+
+    One unstable argsort groups the records.  `key` is then sorted in
+    place and reused for the pairs' keys, and the records are combined in
+    slices of about `_PAIR_CHUNK`, so besides the inputs only the
+    permutation, the pair weights and one flag byte per record are
+    record-sized.
+    """
     order = np.argsort(key)
-    key = key[order]
-    vals = values.reshape(-1)[order]
-    del order
-    new = np.empty(key.size + 1, dtype=bool)  # new[r]: record r starts a pair
+    key.sort()  # the same values as key[order], without a copy
+    records = key.size
+    new = np.empty(records + 1, dtype=bool)  # new[r]: record r starts a pair
     new[0] = new[-1] = True
     np.not_equal(key[1:], key[:-1], out=new[1:-1])
-    starts = new[:-1]
-    key, first = key[starts], vals[starts]
-    second = np.zeros(first.size)
-    second[~new[1:][starts]] = vals[~starts]  # a pair's second record follows its first
-    del vals, new, starts
-    w = combine(first, second)
-    del first, second
-    keep = w > floor
-    if not keep.all():
-        key, w = key[keep], w[keep]
-    i, j = np.divmod(key, n)
-    return i, j, w
+    w = np.empty(np.count_nonzero(new[:-1]))
+    values = values.reshape(-1)
+    start = pairs = 0
+    while start < records:
+        stop = min(start + _PAIR_CHUNK, records)
+        stop += not new[stop]  # a pair's second record stays with its first
+        vals = values[order[start:stop]]
+        at = np.flatnonzero(new[start:stop])  # each pair's first record
+        # a pair's second record, if it has one, follows its first
+        second = np.where(new[start + 1:stop + 1][at], 0.0, vals.take(at + 1, mode="clip"))
+        got = combine(vals[at], second)
+        keep = got > floor
+        kept = key[start:stop][at]
+        if not keep.all():
+            got, kept = got[keep], kept[keep]
+        # pairs <= start: the writes reach only records already read
+        w[pairs:pairs + got.size] = got
+        key[pairs:pairs + got.size] = kept
+        pairs += got.size
+        start = stop
+    del order, new
+    i, j = np.divmod(key[:pairs], n)
+    return i, j, w[:pairs]
 
 
 def fuzzy_union(w_a: float, w_b: float):

@@ -10,7 +10,6 @@ first, then across labels, so class imbalance cannot dominate.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .graphs import (
     GraphProvenance,
     RelationshipGraph,
     _check_method,
+    _check_real,
     build_graph,
     build_tsne_graph,  # not called: the benchmark's tracer test reads it
     shared_neighbors,
@@ -213,10 +213,7 @@ def _recall(tp_count, fn_edge, fn_component, alpha: float) -> np.ndarray:
 def _check_number(name: str, value, valid, rule: str) -> None:
     """MetricsError for a `value` that is a boolean or no real number, then
     unless valid(value)."""
-    if isinstance(value, (bool, np.bool_)):
-        raise MetricsError(f"{name} must be a number, got {value}")
-    if not isinstance(value, numbers.Real):
-        raise MetricsError(f"{name} must be a number, got {value!r}")
+    _check_real(name, value, MetricsError)
     if not valid(value):
         raise MetricsError(f"{name} must be {rule}, got {value}")
 

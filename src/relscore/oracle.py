@@ -50,19 +50,20 @@ def brute_force_report(graph: RelationshipGraph, labels: LabelAssignment,
     lab = [int(x) for x in labels.labels]
     vocab = labels.vocabulary
 
-    weight: dict[tuple[int, int], float] = {}
+    # weight[v][u]: the weight of edge {v, u}, filed under both endpoints;
+    # intra_adj: same-label neighbors, in edge order
+    weight: list[dict[int, float]] = [{} for _ in range(n)]
+    intra_adj: list[list[int]] = [[] for _ in range(n)]
     for i, j, w in zip(graph.edges_i.tolist(), graph.edges_j.tolist(),
                        graph.weights.tolist()):
-        weight[(i, j)] = w
-        weight[(j, i)] = w
+        weight[i][j] = w
+        weight[j][i] = w
+        if lab[i] == lab[j]:
+            intra_adj[i].append(j)
+            intra_adj[j].append(i)
 
     # intra-label components by BFS; scanning starts in ascending order, so
     # each component is first discovered from its smallest member
-    intra_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in list(weight):
-        if i < j and lab[i] == lab[j]:
-            intra_adj[i].append(j)
-            intra_adj[j].append(i)
     component = [-1] * n
     for start in range(n):
         if component[start] != -1:
@@ -76,18 +77,20 @@ def brute_force_report(graph: RelationshipGraph, labels: LabelAssignment,
                     component[u] = start
                     queue.append(u)
 
+    vertices = list(range(n))  # the scans reuse these ints instead of making new ones
     vertex_precision = []
     vertex_recall = []
     vertex_fscore = []
-    for v in range(n):
+    for v in vertices:
         tp_ids = []
         fp_ids = []
         fn = 0
         fn_bar = 0
-        for u in range(n):
+        near = weight[v]
+        for u in vertices:
             if u == v:
                 continue
-            adjacent = (v, u) in weight
+            adjacent = u in near
             if lab[u] == lab[v]:
                 if adjacent:
                     tp_ids.append(u)
@@ -99,10 +102,10 @@ def brute_force_report(graph: RelationshipGraph, labels: LabelAssignment,
                 fp_ids.append(u)
         tp_w = 0.0
         for u in tp_ids:
-            tp_w += weight[(v, u)]
+            tp_w += near[u]
         fp_w = 0.0
         for u in fp_ids:
-            fp_w += weight[(v, u)]
+            fp_w += near[u]
         if len(tp_ids) + len(fp_ids) > 0:
             p = tp_w / (tp_w + fp_w)
         else:
@@ -130,12 +133,13 @@ def brute_force_report(graph: RelationshipGraph, labels: LabelAssignment,
         tp_total = 0.0
         by_other = [0.0] * len(vocab)
         for v in members:
-            for u in range(n):
-                if u != v and (v, u) in weight:
+            near = weight[v]
+            for u in vertices:
+                if u != v and u in near:
                     if lab[u] == lid:
-                        tp_total += weight[(v, u)]
+                        tp_total += near[u]
                     else:
-                        by_other[lab[u]] += weight[(v, u)]
+                        by_other[lab[u]] += near[u]
         grand = tp_total + sum(by_other)
         if grand > 0.0:
             tp_share = tp_total / grand

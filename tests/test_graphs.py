@@ -1022,6 +1022,21 @@ def grid_datasets(draw):
 class TestAssemblyMatchesStableGrouping:
     """Graph assembly against the stable-argsort grouping it replaced."""
 
+    @staticmethod
+    def pair_edges(n, ids, values, combine, floor):
+        """_pair_edges at its own slice size and at slices of 1, 2 and 3
+        records, so that pairs straddle slice edges; every run must return
+        the same arrays."""
+        runs = []
+        for chunk in (graphs_module._PAIR_CHUNK, 1, 2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graphs_module, "_PAIR_CHUNK", chunk)
+                runs.append(graphs_module._pair_edges(n, graphs_module._pair_keys(ids),
+                                                      values.copy(), combine, floor))
+        for got in runs[1:]:
+            same_arrays(got, runs[0])
+        return runs[0]
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(directed_records(), st.sampled_from(["tsne", "umap"]), st.data())
     def test_pair_edges(self, records, method, data):
@@ -1033,8 +1048,7 @@ class TestAssemblyMatchesStableGrouping:
             if weights.size and data.draw(st.booleans()):
                 floor = float(data.draw(st.sampled_from(weights.tolist())))
         want = stable_edges(n, ids, values, method, floor)
-        got = graphs_module._pair_edges(n, ids, values.copy(), combine, floor)
-        same_arrays(got, want)
+        same_arrays(self.pair_edges(n, ids, values, combine, floor), want)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_prefix_of_knn_lists(self, blobs, k):
@@ -1043,8 +1057,7 @@ class TestAssemblyMatchesStableGrouping:
         values = np.random.Generator(np.random.PCG64(k)).random((data.n, k))
         for method, combine in (("tsne", tsne_weight(data.n)), ("umap", fuzzy_union)):
             want = stable_edges(data.n, nbrs.indices, values, method, 0.0)
-            same_arrays(graphs_module._pair_edges(data.n, nbrs.indices, values.copy(),
-                                                  combine, 0.0), want)
+            same_arrays(self.pair_edges(data.n, nbrs.indices, values, combine, 0.0), want)
 
     @staticmethod
     def built(method, data, k, prune_eps, nbrs):
@@ -1108,8 +1121,26 @@ class TestAssemblyMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 5.6 (t-SNE) and 4.7 (UMAP) records' worth; a dozen before
+        # about 5.4 (t-SNE) and 4.9 (UMAP) records' worth; a dozen before
         assert peak < 7 * data.n * nbrs.k * 8
+
+    def test_pair_edges_peak_over_its_inputs(self):
+        n, k = 3000, 60
+        data = Dataset(np.random.Generator(np.random.PCG64(5)).random((n, 5)))
+        ids = exact_knn(data, k).indices
+        values = np.random.Generator(np.random.PCG64(6)).random((n, k))
+        graphs_module._pair_edges(n, graphs_module._pair_keys(ids), values.copy(),
+                                  tsne_weight(n), 0.0)  # warm-up
+        key, copied = graphs_module._pair_keys(ids), values.copy()
+        tracemalloc.start()
+        try:
+            graphs_module._pair_edges(n, key, copied, tsne_weight(n), 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the permutation, the flags and the edges: about 2 records; 4.3 with
+        # record-sized copies of the sorted values and of both directions
+        assert peak < 3 * n * k * 8
 
 
 def in_window(distances):

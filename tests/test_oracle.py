@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from relscore.datasets import Dataset, LabelAssignment
+from relscore.graphs import build_tsne_graph
 from relscore.metrics import MetricConfig, report
 from relscore.oracle import OracleError, brute_force_report, random_graph
 
@@ -39,6 +43,21 @@ class TestBruteForce:
             slow = brute_force_report(graph, labels, 0.5, 1.0)
             assert np.abs(fast.vertex_fscore - slow.vertex_fscore).max() <= 1e-12
             assert abs(fast.global_fscore - slow.global_fscore) <= 1e-12
+
+
+    def test_peak_bytes_per_edge(self):
+        # a verify-sized t-SNE graph: N=1000, perplexity 30, about 60,000 edges
+        rng = np.random.Generator(np.random.PCG64(3))
+        graph = build_tsne_graph(Dataset(rng.random((1000, 5))), 30.0)
+        labels = LabelAssignment(rng.integers(0, 4, size=1000), ("a", "b", "c", "d"))
+        tracemalloc.start()
+        try:
+            brute_force_report(graph, labels, 0.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 192 bytes per edge with one dict per vertex; 306 keyed by pairs
+        assert peak < 250 * graph.n_edges
 
 
 class TestRandomGraph:

@@ -82,6 +82,32 @@ class TestNeighborCount:
         with pytest.raises(GraphError, match=message):
             neighbor_count(method, 150, k)
 
+    # refused before float() reads them: '10' and b'10' would parse as 10
+    @pytest.mark.parametrize("k, shown", [
+        ("10", "'10'"), (b"10", "b'10'"), (None, "None"), ([10], "[10]"),
+        (True, "True"), (np.True_, "True"),
+    ])
+    def test_perplexity_that_is_no_number_refused(self, blobs, k, shown):
+        message = f"^perplexity must be a number, got {re.escape(shown)}$"
+        with pytest.raises(GraphError, match=message):
+            neighbor_count("tsne", 60, k)
+        with pytest.raises(GraphError, match=message):
+            build_tsne_graph(blobs[0], k)
+
+    @pytest.mark.parametrize("prune_eps, shown", [
+        ("0.001", "'0.001'"), (b"0.001", "b'0.001'"), ([0.001], "[0.001]"),
+    ])
+    def test_prune_eps_that_is_no_number_refused(self, blobs, prune_eps, shown):
+        with pytest.raises(GraphError, match=f"^prune_eps must be a number, got "
+                                             f"{re.escape(shown)}$"):
+            build_tsne_graph(blobs[0], 10.0, prune_eps=prune_eps)
+
+    def test_shared_neighbors_skips_a_perplexity_that_is_no_number(self, blobs):
+        data = blobs[0]
+        assert shared_neighbors("tsne", data, ["10", True, b"10"]) is None
+        nbrs = shared_neighbors("tsne", data, ["40", 5, True])
+        assert nbrs.k == neighbor_count("tsne", data.n, 5)
+
 
 class TestBuildGraph:
     @pytest.mark.parametrize("k", [30, 30.0])
@@ -121,6 +147,7 @@ RULE_CASES = [
     ("tsne", 10, True, "prune_eps must be a number, got True"),
     ("tsne", 10, np.False_, "prune_eps must be a number, got False"),
     ("tsne", 10, float("nan"), "prune_eps must be nonnegative and finite, got nan"),
+    ("tsne", 10, 10 ** 400, "prune_eps must be nonnegative and finite, got inf"),
 ]
 
 
