@@ -12,7 +12,7 @@ import gc
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
 
@@ -61,6 +61,7 @@ _LOAD_BYTES = 1 << 19  # bytes of edge text parsed at a time in load_graph
 _WEIGHT_ROWS = 28  # columns of a weight's text in save_graph (see _weight_rows)
 _LOG_CHUNK = 1 << 12  # values per math.log pass in xlogy
 _PAIR_CHUNK = 1 << 13  # sorted records combined per slice in _pair_edges
+_RULE_EDGES = 1 << 16  # edges per slice of the graph constructor's rule masks
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp's constant: halves a double for Dekker's product
 _REPR_MARGIN = 2.0 ** -32  # a certified decision's least distance, in last-digit units
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -109,7 +110,9 @@ class RelationshipGraph:
     copy breaks it.  The order is checked in one pass and only an
     out-of-order list is sorted, so memory grows with the edge count, not
     with the endpoint ids.  Input arrays that are already int64/float64 are
-    read without a copy; the stored arrays are always new.
+    read without a copy; the stored arrays are always new.  The builders
+    hand over fresh arrays of their own, which a private path takes without
+    a copy after the same checks.
     """
 
     n_vertices: int
@@ -119,6 +122,25 @@ class RelationshipGraph:
     provenance: GraphProvenance
 
     def __post_init__(self):
+        self._settle(copy=True)
+
+    @classmethod
+    def _adopt(cls, n_vertices, edges_i, edges_j, weights, provenance) -> RelationshipGraph:
+        """The graph of a builder's fresh edge arrays, which it stores without a copy.
+
+        The constructor's checks run, with its messages; sorted, valid
+        int64/float64 arrays become the graph's own and are set read-only.
+        """
+        graph = object.__new__(cls)
+        for name, value in zip((f.name for f in fields(cls)),
+                               (n_vertices, edges_i, edges_j, weights, provenance)):
+            object.__setattr__(graph, name, value)
+        graph._settle(copy=False)
+        return graph
+
+    def _settle(self, copy: bool) -> None:
+        """Check the fields and store them in canonical form; `copy` says
+        whether arrays that may be the caller's are copied."""
         raw, not_int = integer_values(self.n_vertices)
         if raw.ndim or not_int.any():
             raise GraphError(f"n_vertices must be an integer, got {self.n_vertices!r}")
@@ -134,37 +156,52 @@ class RelationshipGraph:
         if not (ri.size == rj.size == w.size):
             raise GraphError("edge arrays must have equal length")
         not_int |= not_int_i
-        bad_weight = ~(np.isfinite(w) & (w > 0))
         # an endpoint that is not an integer reads as 0, as its rule ranks first
         ci, cj = (np.where(not_int, 0, r if r.dtype.kind in "iufO" else 0)
                   if not_int.any() else r for r in (ri, rj))
-        outside = (ci < 0) | (ci >= n) | (cj < 0) | (cj >= n)
+
+        def outside(s):
+            return (ci[s] < 0) | (ci[s] >= n) | (cj[s] < 0) | (cj[s] >= n)
+
+        # the masks are made a slice of edges at a time, so they stay small
+        parts = [slice(start, start + _RULE_EDGES) for start in range(0, w.size, _RULE_EDGES)]
+        bad = np.empty(w.size, dtype=bool)  # the running mask of every broken rule
+        for s in parts:
+            bad[s] = outside(s)
         # an edge outside stands in as (0, 0): a self-loop, which ranks before a duplicate
-        ei = np.where(outside, 0, ci).astype(np.int64, copy=False)
-        ej = np.where(outside, 0, cj).astype(np.int64, copy=False)
-        duplicate = np.zeros(w.size, dtype=bool)
-        order = None
+        ei, ej = ((np.where(bad, 0, c) if bad.any() else c).astype(np.int64, copy=False)
+                  for c in (ci, cj))
+        duplicate = order = None
         # one linear pass: each edge strictly after the one before means sorted, no duplicate
-        if not ((ei[1:] > ei[:-1]) | (ei[1:] == ei[:-1]) & (ej[1:] > ej[:-1])).all():
+        if not all(_ascending(ei[s.start:s.stop + 1], ej[s.start:s.stop + 1]) for s in parts):
             order = np.lexsort((ej, ei))  # stable: a pair's copies keep input order
             ei, ej = ei[order], ej[order]
+            duplicate = np.zeros(w.size, dtype=bool)
             duplicate[order[1:][(ei[1:] == ei[:-1]) & (ej[1:] == ej[:-1])]] = True
-        # one mask per rule, in the order the messages rank them
-        broken = (not_int, ci == cj, ci > cj, outside, duplicate, bad_weight)
-        bad = broken[0].copy()
-        for mask in broken[1:]:
-            bad |= mask
+        # each rule as the mask of the edges at s that break it, in the order
+        # the messages rank them: added to `bad` one at a time, and asked
+        # again at the first bad edge only, to name the rule it breaks
+        rules = (lambda s: not_int[s], lambda s: ci[s] == cj[s], lambda s: ci[s] > cj[s],
+                 outside, lambda s: False if duplicate is None else duplicate[s],
+                 lambda s: ~(np.isfinite(w[s]) & (w[s] > 0)))
+        for rule in rules:
+            if rule is not outside:
+                for s in parts:
+                    bad[s] |= rule(s)
         if bad.any():
             t = int(np.argmax(bad))
-            rule = next(r for r, mask in enumerate(broken) if mask[t])
+            rule = next(r for r, broken in enumerate(rules) if broken(t))
             i, j = (ri[t], rj[t]) if rule == 0 else (int(ri[t]), int(rj[t]))
             raise GraphError(f"edges[{t}]: " + (
                 f"edge endpoint {i if not_int_i[t] else j} is not an integer",
                 f"self-loop ({i},{j})", f"endpoints must satisfy i < j, got ({i},{j})",
                 f"endpoint outside 0..{n - 1}", f"duplicate edge ({i},{j})",
                 f"weight must be positive and finite, got {float(w[t])}")[rule])
-        del broken, bad, not_int, not_int_i, outside, duplicate, bad_weight  # freed before w is copied
-        w = w.copy() if order is None else w[order]
+        del bad, not_int, not_int_i, duplicate  # freed before w is copied
+        if order is not None:
+            w = w[order]
+        elif copy:  # the stored arrays are new: none of them is the caller's
+            ei, ej, w = ei.copy(), ej.copy(), w.copy()
         for arr in (ei, ej, w):
             arr.setflags(write=False)
         object.__setattr__(self, "n_vertices", n)
@@ -175,6 +212,11 @@ class RelationshipGraph:
     @property
     def n_edges(self) -> int:
         return int(self.edges_i.size)
+
+
+def _ascending(ei: np.ndarray, ej: np.ndarray) -> bool:
+    """Whether each (i, j) edge comes strictly after the one before it."""
+    return bool(((ei[1:] > ei[:-1]) | (ei[1:] == ei[:-1]) & (ej[1:] > ej[:-1])).all())
 
 
 @dataclass(frozen=True)
@@ -292,8 +334,10 @@ def neighbor_count(method: str, n: int, k) -> int:
         if not 2.0 <= k <= n - 1:
             raise GraphError(f"perplexity must be in [2, {n - 1}], got {k}")
         return min(math.ceil(3.0 * float(k)), n - 1)
-    if integer_values(k)[1].any():
-        raise GraphError(f"n_neighbors must be an integer, got {k}")
+    if not isinstance(k, numbers.Real) or integer_values(k)[1].any():
+        # '10', not 10: a value that is no number shows its type, as perplexity's does
+        shown = k if isinstance(k, (numbers.Real, np.bool_)) else repr(k)
+        raise GraphError(f"n_neighbors must be an integer, got {shown}")
     if not 2 <= k <= n - 1:
         raise GraphError(f"n_neighbors must be in [2, {n - 1}], got {k}")
     return int(k)
@@ -334,24 +378,34 @@ def _neighbor_lists(dataset: Dataset, count: int, neighbors: NeighborLists | Non
     the prefix are recomputed with `_squared_distances`, the accumulation
     behind every `exact_knn` distance, and their square roots must equal
     the listed distances bit for bit.  That costs O(N (k + m)).
+
+    Arrays the build made, a fresh pass's or a prefix's copies of fewer
+    columns, come back writable: the build may write over them (see
+    `_calibrated` and `_pair_keys`).  A full-width prefix is a view of
+    the caller's arrays and stays read-only, so the caller's lists keep
+    their bytes.
     """
     if neighbors is None:
-        return exact_knn(dataset, count, threads=threads)
-    if neighbors.n != dataset.n or neighbors.k < count:
+        nbrs = exact_knn(dataset, count, threads=threads)
+    elif neighbors.n != dataset.n or neighbors.k < count:
         raise GraphError(
             f"neighbors hold {neighbors.k} per vertex for {neighbors.n} "
             f"vertices, need {count} for {dataset.n}"
         )
-    nbrs = neighbors.prefix(count)
-    values = dataset.values  # (N, m): one gather of the neighbors' rows per column
-    wrong = np.zeros(dataset.n, dtype=bool)
-    for column in {0, count - 1}:
-        got = np.sqrt(_squared_distances(values.T, values[nbrs.indices[:, column]].T))
-        wrong |= got.view(np.int64) != nbrs.distances[:, column].view(np.int64)
-    if wrong.any():
-        row = int(np.argmax(wrong))
-        raise GraphError(f"neighbors row {row}: the listed distances are not this "
-                         "dataset's")
+    else:
+        nbrs = neighbors.prefix(count)
+        values = dataset.values  # (N, m): one gather of the neighbors' rows per column
+        wrong = np.zeros(dataset.n, dtype=bool)
+        for column in {0, count - 1}:
+            got = np.sqrt(_squared_distances(values.T, values[nbrs.indices[:, column]].T))
+            wrong |= got.view(np.int64) != nbrs.distances[:, column].view(np.int64)
+        if wrong.any():
+            row = int(np.argmax(wrong))
+            raise GraphError(f"neighbors row {row}: the listed distances are not this "
+                             "dataset's")
+    for lists in (nbrs.indices, nbrs.distances):
+        if lists.base is None:  # made for this build, not a view of the caller's
+            lists.setflags(write=True)
     return nbrs
 
 
@@ -377,12 +431,17 @@ def _calibrated(nbrs: NeighborLists, target: float, solve, threads: int | None):
     data of any scale: both methods' weights depend on the distances only
     through their ratios to sigma, and sigma is scaled back, exactly, to
     the caller's units.  A block whose rows all have e = 0 is not touched.
+
+    Writable distances are the build's own (see `_neighbor_lists`): each
+    block writes its weights over its own rows of them, once `solve` has
+    read those rows, and the weights are that array.  Read-only ones are
+    the caller's and are left as they are; the weights are then new.
     """
     n, k = nbrs.n, nbrs.k
     chunk = block_rows(k)
     sigma, achieved = np.empty(n), np.empty(n)
     converged = np.empty(n, dtype=bool)
-    weights = np.empty((n, k))
+    weights = nbrs.distances if nbrs.distances.flags.writeable else np.empty((n, k))
 
     def block(start: int) -> None:
         rows = slice(start, start + chunk)
@@ -506,8 +565,8 @@ def _tsne_rows(distances: np.ndarray, target: float):
         t /= c
         return t
 
-    def conditionals(rows, sigma):
-        e = exponents(rows, sigma)
+    def conditionals(rows, sigma, out=None):
+        e = exponents(rows, sigma, out)
         np.exp(e, out=e)
         e /= e.sum(axis=1, keepdims=True)
         return e
@@ -542,7 +601,8 @@ def _tsne_rows(distances: np.ndarray, target: float):
 
     n = nd2s.shape[0]
     sigma, achieved, converged = _bisect_bandwidth(row_objective, n, target, step=step)
-    return sigma, achieved, converged, conditionals(np.arange(n), sigma)
+    # the weights go into the screen's spent buffer: one block fewer per worker
+    return sigma, achieved, converged, conditionals(np.arange(n), sigma, buffers[0])
 
 
 def _parts(method: str, nbrs: NeighborLists, k, threads: int | None):
@@ -588,9 +648,18 @@ def build_tsne_graph(dataset: Dataset, perplexity: float,
 
 def _build(method: str, dataset: Dataset, k, prune_eps, neighbors: NeighborLists | None,
            threads: int | None) -> RelationshipGraph:
-    """The `method` graph at size k: the body of both builders."""
+    """The `method` graph at size k: the body of both builders.
+
+    A record-sized array the build made is written over once read: the
+    weights over a fresh pass's (or a prefix copy's) distances, the pair
+    keys over its ids, each kept pair's key over the sorted record keys
+    and its j over that key.  The graph takes the edge arrays without a
+    copy, so its j, and its weights where pairs were pruned, are the
+    start of the larger arrays they were made in.
+    """
     n = dataset.n
     count = neighbor_count(method, n, k)
+    _check_key_room(n, count)  # before the kNN pass
     if method == "tsne":
         floor = default_prune_eps(n) if prune_eps is None else _checked_prune_eps(prune_eps)
 
@@ -605,71 +674,110 @@ def _build(method: str, dataset: Dataset, k, prune_eps, neighbors: NeighborLists
     nbrs = _neighbor_lists(dataset, count, neighbors, threads)
     cal, values = _parts(method, nbrs, k, threads)
     key = _pair_keys(nbrs.indices)
-    del nbrs  # a fresh pass's lists and distances are freed before the grouping
-    edges = _pair_edges(n, key, values, combine, floor)
-    del key, values  # freed before the graph copies the edges
+    del nbrs  # the lists: freed unless they hold the keys or the weights
+    key, w = _pair_edges(n, key, values, combine, floor)
+    del values  # freed before the keys are split into the endpoints
+    i, j = np.divmod(key, n, out=(np.empty_like(key), key))  # j over the keys
+    del key
     options["non_converged"] = int(np.count_nonzero(~cal.converged))
-    return RelationshipGraph(n, *edges, GraphProvenance(method, param, options))
+    return RelationshipGraph._adopt(n, i, j, w, GraphProvenance(method, param, options))
 
 
-def _pair_keys(neighbor_indices):
-    """The flat min*n + max key of each (source, neighbor) record in the (n, k)
-    `neighbor_indices`: one int64 per record, in row-major order."""
-    n = neighbor_indices.shape[0]
-    rows = np.arange(n, dtype=np.int64)[:, None]
-    key = np.minimum(neighbor_indices, rows)
-    key *= n - 1
-    key += neighbor_indices
-    key += rows  # min*n + max, as min + max = i + j
-    return key.reshape(-1)
+def _check_key_room(n: int, k: int) -> None:
+    """GraphError unless `_pair_keys` of n vertices with k neighbors each
+    fit int64, that is 2k n^2 < 2^63."""
+    if 2 * k * n * n > _INT64_MAX:
+        raise GraphError(f"{n} vertices with {k} neighbors each are too many: the "
+                         "pair keys need 2*k*n^2 below 2^63")
+
+
+def _pair_keys(ids: np.ndarray) -> np.ndarray:
+    """The key (min*n + max)*2k + side*k + slot of each record of the (n, k)
+    neighbor `ids`, as an (n, k) int64 array.
+
+    A record's side is 1 where its source is the pair's larger end, its
+    slot its column, so sorted keys group each pair's records and every
+    key names its record.  Writable ids are the build's own (see
+    `_neighbor_lists`) and get the keys written over them, a block of
+    `block_rows(k)` rows at a time; read-only ones are left as they are.
+    The keys fit int64 where `_check_key_room` passes.
+    """
+    n, k = ids.shape
+    key = ids if ids.flags.writeable else np.empty_like(ids)
+    slots = np.arange(k, dtype=np.int64)
+    chunk = block_rows(k)
+    for start in range(0, n, chunk):
+        ends = ids[start:start + chunk]
+        sources = np.arange(start, start + ends.shape[0], dtype=np.int64)[:, None]
+        packed = np.minimum(ends, sources)
+        packed *= n - 1
+        packed += ends
+        packed += sources  # min*n + max, as min + max = i + j
+        packed *= 2 * k
+        packed += slots
+        np.add(packed, k, out=packed, where=ends < sources)
+        key[start:start + chunk] = packed
+    return key
 
 
 def _pair_edges(n, key, values, combine, floor):
-    """Edges of the unordered pairs in directed (source, neighbor, value) records.
+    """The unordered pairs of directed (source, neighbor, value) records, as
+    (pair keys, weights).
 
-    `key` holds `_pair_keys` of the (n, k) neighbor lists and `values` the
-    records' values, row by row; no row repeats a neighbor, so a pair has
-    one or two records.  Returns int64 i < j and float64 w, in (i, j)
-    order: w = combine(first, second) of a pair's two values, second 0
-    where only one direction exists, and pairs with w <= floor are
-    dropped.  Which direction comes first is not pinned, so `combine` must
-    be symmetric; it may overwrite its arguments.
+    `key` holds `_pair_keys` of the (n, k) neighbor lists and `values`
+    the records' (n, k) values; no row repeats a neighbor, so a pair has
+    one or two records.  Returns each kept pair's int64 min*n + max key,
+    ascending, and its float64 w = combine(first, second) of the pair's
+    two values, second 0 where only one direction exists; pairs with
+    w <= floor are dropped.  Which direction comes first is not pinned,
+    so `combine` must be symmetric; it may overwrite its arguments.
 
-    One unstable argsort groups the records.  `key` is then sorted in
-    place and reused for the pairs' keys, and the records are combined in
-    slices of about `_PAIR_CHUNK`, so besides the inputs only the
-    permutation, the pair weights and one flag byte per record are
-    record-sized.
+    `key` is sorted in place, and the kept pairs' keys are written over
+    its start: the keys returned are a view of it, and the weights one of
+    an array sized for every pair.  A sorted key names its record, so no
+    permutation is made: the records are combined in slices of about
+    `_PAIR_CHUNK`, each decoding its own keys, gathering its values and
+    flagging its pairs' first records, after one pass that counts the
+    pairs.  Besides the inputs only the pair weights are record-sized;
+    `values` is only read.
     """
-    order = np.argsort(key)
-    key.sort()  # the same values as key[order], without a copy
+    k = values.shape[1]
+    width = 2 * k  # key // width is the record's pair, min*n + max
+    key = key.reshape(-1)
+    key.sort()
     records = key.size
-    new = np.empty(records + 1, dtype=bool)  # new[r]: record r starts a pair
-    new[0] = new[-1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:-1])
-    w = np.empty(np.count_nonzero(new[:-1]))
+    count = min(records, 1)  # pairs: the first record's, then one per change of pair
+    for start in range(1, records, _PAIR_CHUNK):
+        group = key[start - 1:start + _PAIR_CHUNK] // width
+        count += np.count_nonzero(group[1:] != group[:-1])
+    w = np.empty(count)
     values = values.reshape(-1)
     start = pairs = 0
     while start < records:
         stop = min(start + _PAIR_CHUNK, records)
-        stop += not new[stop]  # a pair's second record stays with its first
-        vals = values[order[start:stop]]
-        at = np.flatnonzero(new[start:stop])  # each pair's first record
+        if stop < records and key[stop] // width == key[stop - 1] // width:
+            stop += 1  # a pair's second record stays with its first: a slice starts a pair
+        sided, slot = np.divmod(key[start:stop], k)  # sided = 2*pair + side
+        group = sided >> 1
+        lo, hi = np.divmod(group, n)
+        vals = values[np.where(sided & 1, hi, lo) * k + slot]  # source*k + slot
+        new = np.empty(group.size + 1, dtype=bool)  # new[r]: record r starts a pair
+        new[0] = new[-1] = True
+        np.not_equal(group[1:], group[:-1], out=new[1:-1])
+        at = np.flatnonzero(new[:-1])  # each pair's first record
         # a pair's second record, if it has one, follows its first
-        second = np.where(new[start + 1:stop + 1][at], 0.0, vals.take(at + 1, mode="clip"))
+        second = np.where(new[at + 1], 0.0, vals.take(at + 1, mode="clip"))
         got = combine(vals[at], second)
         keep = got > floor
-        kept = key[start:stop][at]
+        kept = group[at]
         if not keep.all():
             got, kept = got[keep], kept[keep]
-        # pairs <= start: the writes reach only records already read
+        # the writes end by `stop`: they reach only records already decoded
         w[pairs:pairs + got.size] = got
         key[pairs:pairs + got.size] = kept
         pairs += got.size
         start = stop
-    del order, new
-    i, j = np.divmod(key[:pairs], n)
-    return i, j, w[:pairs]
+    return key[:pairs], w[:pairs]
 
 
 def fuzzy_union(w_a: float, w_b: float):

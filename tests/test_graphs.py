@@ -328,6 +328,33 @@ class TestGraphType:
         ei[0], w[0] = 1, 9.0
         assert graph.edges_i.tolist() == [0, 1] and graph.weights.tolist() == [0.5, 1.5]
 
+    def test_builders_hand_over_without_a_copy(self):
+        ei, ej, w = np.array([0, 1]), np.array([2, 2]), np.array([0.5, 1.5])
+        graph = RelationshipGraph._adopt(3, ei, ej, w, GraphProvenance("external"))
+        for stored, given in zip((graph.edges_i, graph.edges_j, graph.weights), (ei, ej, w)):
+            assert np.shares_memory(stored, given) and not stored.flags.writeable
+        copied = RelationshipGraph(3, ei, ej, w, GraphProvenance("external"))
+        same_arrays((graph.edges_i, graph.edges_j, graph.weights),
+                    (copied.edges_i, copied.edges_j, copied.weights))
+
+    @pytest.mark.parametrize("ei, ej, w", [
+        ([0, 1], [1, 1], [1.0, 1.0]), ([0, 2], [1, 1], [1.0, 1.0]), ([0, 1], [1, 7], [1.0, 1.0]),
+        ([0, 1, 0], [1, 2, 1], [1.0, 1.0, 1.0]), ([0, 1], [1, 2], [1.0, 0.0]),
+        ([0, 1], [1, 2], [np.nan, 1.0]), ([-1, 0], [2, 1], [1.0, 1.0]),
+        ([1, 0], [2, 1], [0.25, 0.5]),
+    ])
+    def test_hand_over_runs_the_constructor_checks(self, ei, ej, w):
+        arrays = np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64), np.array(w)
+        outcomes = []
+        for make in (RelationshipGraph, RelationshipGraph._adopt):
+            try:
+                graph = make(4, *(a.copy() for a in arrays), GraphProvenance("external"))
+                outcomes.append((graph.edges_i.tolist(), graph.edges_j.tolist(),
+                                 graph.weights.tolist()))
+            except GraphError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
     def test_sorts_edges(self):
         graph = RelationshipGraph(4, [2, 0], [3, 1], [0.1, 0.2],
                                   GraphProvenance("external"))
@@ -929,7 +956,7 @@ class TestCsrMatchesLexsort:
             inputs.append((n, ei, ej, w))
             return RelationshipGraph(n, ei, ej, w, provenance)
 
-        monkeypatch.setattr(graphs_module, "RelationshipGraph", recording)
+        monkeypatch.setattr(RelationshipGraph, "_adopt", recording)  # the builders' hand-over
         graphs_module.build_graph(method, small_random, k)
         (n, ei, ej, w), = inputs
         assert ei.size > 0
@@ -1025,14 +1052,16 @@ class TestAssemblyMatchesStableGrouping:
     @staticmethod
     def pair_edges(n, ids, values, combine, floor):
         """_pair_edges at its own slice size and at slices of 1, 2 and 3
-        records, so that pairs straddle slice edges; every run must return
-        the same arrays."""
+        records, so that pairs straddle slice edges, as (i, j, w); every
+        run must return the same arrays.  Writable ids get the keys written
+        over them, so each run gets a copy."""
         runs = []
         for chunk in (graphs_module._PAIR_CHUNK, 1, 2, 3):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(graphs_module, "_PAIR_CHUNK", chunk)
-                runs.append(graphs_module._pair_edges(n, graphs_module._pair_keys(ids),
-                                                      values.copy(), combine, floor))
+                key, w = graphs_module._pair_edges(n, graphs_module._pair_keys(ids.copy()),
+                                                   values.copy(), combine, floor)
+                runs.append((*np.divmod(key, n), w))
         for got in runs[1:]:
             same_arrays(got, runs[0])
         return runs[0]
@@ -1069,7 +1098,7 @@ class TestAssemblyMatchesStableGrouping:
             return RelationshipGraph(n, ei, ej, w, provenance)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs_module, "RelationshipGraph", recording)
+            patch.setattr(RelationshipGraph, "_adopt", recording)  # the builders' hand-over
             graph = graphs_module.build_graph(method, data, k, prune_eps, neighbors=nbrs)
         return inputs[0], graph
 
@@ -1107,6 +1136,103 @@ class TestAssemblyMatchesStableGrouping:
         same_arrays(got, want)
 
 
+@st.composite
+def random_datasets(draw):
+    """3..30 uniform points in 1..3 dimensions, at scales that need the
+    bandwidth window's rescaling or not."""
+    n, m = draw(st.integers(3, 30)), draw(st.integers(1, 3))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32 - 1))))
+    return Dataset(rng.random((n, m)) * draw(st.sampled_from([1.0, 2.0 ** 100, 2.0 ** -60])))
+
+
+def list_state(nbrs):
+    return [(a.tobytes(), a.flags.writeable) for a in (nbrs.indices, nbrs.distances)]
+
+
+class TestBuildsOwnTheirArrays:
+    """A build writes over the record arrays it made, never over the caller's."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(st.one_of(grid_datasets(), random_datasets()), st.sampled_from(["tsne", "umap"]),
+           st.data())
+    def test_fresh_prefix_and_full_width_lists_build_one_graph(self, data, method, draw):
+        n = data.n
+        if method == "tsne":
+            k = draw.draw(st.floats(2.0, n - 1.0))
+            prune_eps = draw.draw(st.sampled_from([None, 0.0, 1e-3, 0.02]))
+        else:
+            k, prune_eps = draw.draw(st.integers(2, n - 1)), None
+        want = graphs_module.build_graph(method, data, k, prune_eps)  # a fresh pass
+        count = graphs_module.neighbor_count(method, n, k)
+        for width in sorted({count, n - 1}):  # the full width, and a prefix copy
+            nbrs = exact_knn(data, width)
+            before = list_state(nbrs)
+            got = graphs_module.build_graph(method, data, k, prune_eps, neighbors=nbrs)
+            same_arrays((got.edges_i, got.edges_j, got.weights),
+                        (want.edges_i, want.edges_j, want.weights))
+            assert got.provenance == want.provenance
+            assert list_state(nbrs) == before
+            for stored in (got.edges_i, got.edges_j, got.weights):
+                assert not stored.flags.writeable
+                assert not np.shares_memory(stored, nbrs.indices)
+                assert not np.shares_memory(stored, nbrs.distances)
+
+    def test_only_lists_the_build_made_are_writable(self, blobs):
+        data, _ = blobs
+        wide = exact_knn(data, 8)
+        fresh = graphs_module._neighbor_lists(data, 5, None, None)
+        copied = graphs_module._neighbor_lists(data, 5, wide, None)
+        shared = graphs_module._neighbor_lists(data, 8, wide, None)
+        for lists in (fresh, copied):
+            assert lists.indices.flags.writeable and lists.distances.flags.writeable
+        for mine, theirs in ((shared.indices, wide.indices), (shared.distances, wide.distances)):
+            assert np.shares_memory(mine, theirs) and not mine.flags.writeable
+        same_arrays((copied.indices, copied.distances), (fresh.indices, fresh.distances))
+
+    @pytest.mark.parametrize("method, k", [("tsne", 3.0), ("umap", 9)])
+    def test_weights_and_keys_go_over_writable_lists_only(self, blobs, method, k):
+        data, _ = blobs
+        count = graphs_module.neighbor_count(method, data.n, k)
+        shared = exact_knn(data, count)
+        before = list_state(shared)
+        cal, weights = graphs_module._parts(method, shared, k, None)
+        keys = graphs_module._pair_keys(shared.indices)
+        assert list_state(shared) == before
+        own = graphs_module._neighbor_lists(data, count, None, None)
+        own_cal, own_weights = graphs_module._parts(method, own, k, None)
+        assert own_weights is own.distances
+        own_keys = graphs_module._pair_keys(own.indices)
+        assert own_keys is own.indices
+        same_arrays((own_weights, own_keys, own_cal.sigma, own_cal.achieved),
+                    (weights, keys, cal.sigma, cal.achieved))
+
+
+class TestPairKeyBound:
+    """Packed pair keys need 2k n^2 < 2^63; a build past that is refused."""
+
+    @pytest.mark.parametrize("n, k", [(2 ** 31, 1), (2 ** 30, 4), (10 ** 6, 4611687),
+                                      (3 * 10 ** 9, 2)])
+    def test_past_int64_refused(self, n, k):
+        with pytest.raises(GraphError, match=rf"^{n} vertices with {k} neighbors each are "
+                                             r"too many: the pair keys need 2\*k\*n\^2 "
+                                             r"below 2\^63$"):
+            graphs_module._check_key_room(n, k)
+
+    @pytest.mark.parametrize("n, k", [(2 ** 31 - 1, 1), (2 ** 30, 3), (10 ** 6, 4611686)])
+    def test_largest_that_fit_pass(self, n, k):
+        assert 2 * k * n * n < 2 ** 63
+        graphs_module._check_key_room(n, k)
+
+    def test_build_refused_before_its_knn_pass(self, blobs, monkeypatch):
+        data, _ = blobs
+        monkeypatch.setattr(graphs_module, "_INT64_MAX", 2 * 15 * data.n ** 2 - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs_module, "exact_knn", lambda *args, **kwargs: pytest.fail())
+            with pytest.raises(GraphError, match="pair keys need"):
+                build_umap_graph(data, 15)
+        assert build_umap_graph(data, 14).n_edges > 0
+
+
 class TestAssemblyMemory:
     """Builders set the traced peak through a few record-sized arrays, not a dozen."""
 
@@ -1121,8 +1247,25 @@ class TestAssemblyMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 5.4 (t-SNE) and 4.9 (UMAP) records' worth; a dozen before
+        # about 4.65 (t-SNE) and 4.7 (UMAP) records' worth: 5.4 and 4.9 with
+        # the grouping's permutation and the constructor's copies, a dozen before
         assert peak < 7 * data.n * nbrs.k * 8
+
+    @pytest.mark.parametrize("build, k", [(build_tsne_graph, 20.0), (build_umap_graph, 60)])
+    def test_fresh_build_peak(self, build, k):
+        n, count = 3000, 60  # the candidate count at either k
+        data = Dataset(np.random.Generator(np.random.PCG64(5)).random((n, 5)))
+        build(data, k)  # warm-up
+        tracemalloc.start()
+        try:
+            build(data, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 4.45 records for either method, where the kNN pass's and the
+        # calibration's block temporaries set the floor: 5.7 (t-SNE) and 5.4
+        # (UMAP) when the weights, the keys and the edges took new arrays
+        assert peak < 5 * n * count * 8
 
     def test_pair_edges_peak_over_its_inputs(self):
         n, k = 3000, 60
@@ -1138,9 +1281,10 @@ class TestAssemblyMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the permutation, the flags and the edges: about 2 records; 4.3 with
-        # record-sized copies of the sorted values and of both directions
-        assert peak < 3 * n * k * 8
+        # the pair weights: about 1.1 records; 1.95 with the sort's
+        # permutation and a flag byte per record, 4.3 with record-sized
+        # copies of the sorted values and of both directions
+        assert peak < 1.5 * n * k * 8
 
 
 def in_window(distances):

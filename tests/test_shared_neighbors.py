@@ -94,6 +94,17 @@ class TestNeighborCount:
         with pytest.raises(GraphError, match=message):
             build_tsne_graph(blobs[0], k)
 
+    @pytest.mark.parametrize("k, shown", [
+        ("10", "'10'"), (b"10", "b'10'"), (None, "None"), ([10], "[10]"),
+        (10.5, "10.5"), (np.float64(10.5), "10.5"), (True, "True"), (np.True_, "True"),
+    ])
+    def test_n_neighbors_that_is_no_integer_refused(self, blobs, k, shown):
+        message = f"^n_neighbors must be an integer, got {re.escape(shown)}$"
+        with pytest.raises(GraphError, match=message):
+            neighbor_count("umap", 60, k)
+        with pytest.raises(GraphError, match=message):
+            build_umap_graph(blobs[0], k)
+
     @pytest.mark.parametrize("prune_eps, shown", [
         ("0.001", "'0.001'"), (b"0.001", "b'0.001'"), ([0.001], "[0.001]"),
     ])
