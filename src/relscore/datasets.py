@@ -61,6 +61,12 @@ def integer_values(values) -> tuple[np.ndarray, np.ndarray]:
     return raw, np.ones(raw.shape, dtype=bool)
 
 
+def _shown(value) -> str:
+    """`value` as an error message shows it: a number or boolean as it
+    prints, anything else by its repr, so '10' reads apart from 10."""
+    return str(value) if isinstance(value, (numbers.Real, np.bool_)) else repr(value)
+
+
 def _whole(value, low: int, what: str) -> int:
     """Scalar integer `value` of at least `low`; else a DatasetError."""
     raw, not_int = integer_values(value)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset, _file_bytes, _json_object, integer_values
+from .datasets import Dataset, _file_bytes, _json_object, _shown, integer_values
 from .knn import (
     NeighborLists, _squared_distances, block_rows, check_threads, exact_knn, run_blocks,
 )
@@ -59,7 +59,7 @@ _LN2 = math.log(2.0)
 _EDGE_SLICE = 1 << 14  # edges rendered per write in save_graph
 _LOAD_BYTES = 1 << 19  # bytes of edge text parsed at a time in load_graph
 _WEIGHT_ROWS = 28  # columns of a weight's text in save_graph (see _weight_rows)
-_LOG_CHUNK = 1 << 12  # values per math.log pass in xlogy
+_LOG_CHUNK = 1 << 12  # values per math.log pass in _perplexities
 _PAIR_CHUNK = 1 << 13  # sorted records combined per slice in _pair_edges
 _RULE_EDGES = 1 << 16  # edges per slice of the graph constructor's rule masks
 _SPLITTER = 2.0 ** 27 + 1.0  # Veltkamp's constant: halves a double for Dekker's product
@@ -111,8 +111,8 @@ class RelationshipGraph:
     out-of-order list is sorted, so memory grows with the edge count, not
     with the endpoint ids.  Input arrays that are already int64/float64 are
     read without a copy; the stored arrays are always new.  The builders
-    hand over fresh arrays of their own, which a private path takes without
-    a copy after the same checks.
+    and `load_graph` hand over fresh arrays of their own, which a private
+    path takes without a copy after the same checks.
     """
 
     n_vertices: int
@@ -126,7 +126,7 @@ class RelationshipGraph:
 
     @classmethod
     def _adopt(cls, n_vertices, edges_i, edges_j, weights, provenance) -> RelationshipGraph:
-        """The graph of a builder's fresh edge arrays, which it stores without a copy.
+        """The graph of fresh edge arrays no caller holds, stored without a copy.
 
         The constructor's checks run, with its messages; sorted, valid
         int64/float64 arrays become the graph's own and are set read-only.
@@ -240,10 +240,8 @@ def default_prune_eps(n_vertices: int) -> float:
 
 def _check_real(name: str, value, error=GraphError) -> None:
     """`error` for a `value` that is a boolean or no real number."""
-    if isinstance(value, (bool, np.bool_)):
-        raise error(f"{name} must be a number, got {value}")
-    if not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is no Real
+        raise error(f"{name} must be a number, got {_shown(value)}")
 
 
 def _checked_prune_eps(prune_eps, error=GraphError) -> float:
@@ -270,22 +268,20 @@ def _check_method(method, prune_eps=None, error=GraphError) -> None:
         _checked_prune_eps(prune_eps, error)
 
 
-def _bisect_bandwidth(row_objective, n, target, skip=None, step=None):
+def _bisect_bandwidth(step, n, target, skip=None):
     """Per-row bisection of a monotone-increasing objective over log10(sigma).
 
-    row_objective(rows, sigma) evaluates the target quantity for the given
-    row indices at the given bandwidths.  Rows that never reach
-    CALIBRATION_TOL get their bandwidth clamped to the search bound on the
-    unreachable side, with row_objective's value there, and stay flagged
-    as non-converged.
-
-    step(rows, sigma), if given, evaluates each step in row_objective's
-    place.  Each value it returns must be row_objective's, or lie in the
-    same one of three bands as it, clear of the band's edges: below
-    target - CALIBRATION_TOL, within CALIBRATION_TOL of target, or above
-    target + CALIBRATION_TOL.  Then sigma and converged are the same as
-    with row_objective, and so is achieved except where a converged row
-    took a step's value.
+    step(rows, sigma) evaluates the objective for the given row indices
+    at the given bandwidths, at every step and at the clamp below.  Each
+    value it returns must be the exact objective's, or lie in the same
+    one of three bands as it, clear of the band's edges: below target -
+    CALIBRATION_TOL, within CALIBRATION_TOL of target, or above target +
+    CALIBRATION_TOL.  Then sigma and converged are the exact objective's,
+    and each achieved value lies in the exact one's band.  Rows that
+    never reach CALIBRATION_TOL get their bandwidth clamped to the search
+    bound on the unreachable side, with step's value there, and stay
+    flagged as non-converged.  `skip` rows are never evaluated: sigma 1,
+    achieved NaN.
     """
     lo = np.full(n, _SIGMA_LOG10_MIN)
     hi = np.full(n, _SIGMA_LOG10_MAX)
@@ -295,7 +291,6 @@ def _bisect_bandwidth(row_objective, n, target, skip=None, step=None):
     active = np.arange(n)
     if skip is not None:
         active = active[~skip]
-    step = row_objective if step is None else step
     for _ in range(MAX_BISECTIONS):
         if active.size == 0:
             break
@@ -312,12 +307,11 @@ def _bisect_bandwidth(row_objective, n, target, skip=None, step=None):
         active = active[~done]
     if active.size:
         # unreachable target: clamp to the bound on the side the search
-        # was pushing toward and report the value actually achieved there
-        # (a step's achieved value is on row_objective's side of target)
+        # was pushing toward and report the value achieved there
         under = achieved[active] < target
         sigma[active[under]] = 10.0 ** _SIGMA_LOG10_MAX
         sigma[active[~under]] = 10.0 ** _SIGMA_LOG10_MIN
-        achieved[active] = row_objective(active, sigma[active])
+        achieved[active] = step(active, sigma[active])
     return sigma, achieved, converged
 
 
@@ -335,9 +329,7 @@ def neighbor_count(method: str, n: int, k) -> int:
             raise GraphError(f"perplexity must be in [2, {n - 1}], got {k}")
         return min(math.ceil(3.0 * float(k)), n - 1)
     if not isinstance(k, numbers.Real) or integer_values(k)[1].any():
-        # '10', not 10: a value that is no number shows its type, as perplexity's does
-        shown = k if isinstance(k, (numbers.Real, np.bool_)) else repr(k)
-        raise GraphError(f"n_neighbors must be an integer, got {shown}")
+        raise GraphError(f"n_neighbors must be an integer, got {_shown(k)}")
     if not 2 <= k <= n - 1:
         raise GraphError(f"n_neighbors must be in [2, {n - 1}], got {k}")
     return int(k)
@@ -463,8 +455,8 @@ def _tsne_screen_scale(k: int) -> float:
     Notation per row (Higham, Accuracy and Stability of Numerical
     Algorithms, 3.1): u = 2^-53, gamma_m = m u / (1 - m u), and LIB =
     2^-40, an assumed bound on the relative error of np.exp, np.log,
-    np.exp2 and of the libm log inside xlogy for normal results: about
-    4096 ulps, against the few ulps these functions promise.  Both paths
+    np.exp2 and of the libm log of `_perplexities` for normal results:
+    about 4096 ulps, against the few ulps these functions promise.  Both paths
     share t_j = -d2s_j / c (c = 2 sigma^2), e_j = exp(t_j) in [0, 1] with
     e_0 = 1, and S, the sum of the e_j.  Take as reference G = -sum q_j
     ln q_j, q_j = e_j / S in exact arithmetic.  The sum of the e_j is
@@ -479,7 +471,7 @@ def _tsne_screen_scale(k: int) -> float:
       gamma_{k+1} l on T, log puts LIB l on ln S, the subtraction 2 u l,
       exp 1.01 LIB on ln got'.  So |ln got' - G| <= (LIB + 2u + 2
       gamma_{k+1}) l + 2.03 LIB.
-    - The exact path rounds p_j = e_j / S by u; its xlogy term p_j log p_j
+    - The exact path rounds p_j = e_j / S by u; its term p_j ln p_j
       is within (LIB + 3u) q_j |ln q_j| + 1.01 u q_j of q_j ln q_j,
       1.02 u + (LIB + 3u) l summed; its pairwise sum adds gamma_k l, the
       division by _LN2 (ln 2 within LIB, then rounded) (LIB + 2u) l and
@@ -508,42 +500,30 @@ def _tsne_screen_scale(k: int) -> float:
     return 2.0 * ((math.log(k) + 2.0) * (4.0 * lib + 3.0 * ku / (1.0 - ku)) + k * 2.0 ** -1000)
 
 
-def xlogy(x, y):
-    """x log(y), and 0 where x == 0 and y is not NaN, without scipy.
-
-    The log is libm's, which math.log wraps and scipy.special.xlogy
-    calls, so the bits are scipy's wherever y is not negative or NaN
-    (there both give a NaN); numpy's own log rounds differently.
-    math.log takes positive y only: y = 0 gets -inf and a negative or NaN
-    y gets NaN here.  The values pass through math.log _LOG_CHUNK at a
-    time, so the temporaries stay small.  `_perplexities` looks the name
-    up in this module at each call, so a test can patch it.
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    out = np.empty(x.shape)
-    flat_x, flat_y, flat_out = x.ravel(), y.ravel(), out.reshape(-1)
-    for start in range(0, out.size, _LOG_CHUNK):
-        part = slice(start, start + _LOG_CHUNK)
-        xs, ys, logs = flat_x[part], flat_y[part], flat_out[part]
-        inside = ys > 0.0
-        logs[:] = list(map(math.log, np.where(inside, ys, 1.0).tolist()))
-        logs[~inside] = np.where(ys[~inside] == 0.0, -math.inf, math.nan)
-        zero = (xs == 0.0) & ~np.isnan(ys)
-        np.multiply(logs, xs, out=logs, where=~zero)  # 0 * -inf would warn
-        logs[zero] = 0.0
-    return out
-
-
 def _perplexities(p):
-    """2 to the entropy in bits of each row of conditionals p."""
-    return np.exp2(-xlogy(p, p).sum(axis=1) / _LN2)
+    """2 to the entropy in bits of each row of conditionals p.
+
+    Each term p ln p takes libm's log, which math.log wraps and
+    scipy.special.xlogy calls; numpy's own log rounds differently.  A
+    p that is not positive is looked up as 1, whose log is 0, so each
+    term is bitwise scipy's xlogy(p, p): p ln p for p > 0, 0 for p = 0
+    and NaN for NaN.  The values pass through math.log _LOG_CHUNK at a
+    time, so the temporaries stay small.
+    """
+    terms = np.empty(p.shape)
+    flat, logs = p.reshape(-1), terms.reshape(-1)
+    for start in range(0, flat.size, _LOG_CHUNK):
+        part = slice(start, start + _LOG_CHUNK)
+        logs[part] = list(map(math.log, np.where(flat[part] > 0.0, flat[part], 1.0).tolist()))
+    terms *= p
+    return np.exp2(-terms.sum(axis=1) / _LN2)
 
 
 def _tsne_rows(distances: np.ndarray, target: float):
     """`_calibrated`'s t-SNE solve over rows of ascending distances.
 
-    A converged row's achieved value may be the screen's, within the
-    same band as the exact one; `tsne_calibration` restores the exact one.
+    A row's achieved value may be the screen's, in the exact value's band
+    (see `_bisect_bandwidth`); `tsne_calibration` restores the exact one.
 
     The screen's margin assumes e_j <= 1, that is no distance below the
     row's first: `NeighborLists` holds rows ascending and `_calibrated`
@@ -571,9 +551,6 @@ def _tsne_rows(distances: np.ndarray, target: float):
         e /= e.sum(axis=1, keepdims=True)
         return e
 
-    def row_objective(rows, sigma):
-        return _perplexities(conditionals(rows, sigma))
-
     # the screen's t and e, reused by every step: fresh arrays of a new
     # size each step raised peak RSS by about 3.5 MB on 3000 points, 2 threads
     buffers = np.empty((2, *nd2s.shape))
@@ -600,7 +577,7 @@ def _tsne_rows(distances: np.ndarray, target: float):
         return got
 
     n = nd2s.shape[0]
-    sigma, achieved, converged = _bisect_bandwidth(row_objective, n, target, step=step)
+    sigma, achieved, converged = _bisect_bandwidth(step, n, target)
     # the weights go into the screen's spent buffer: one block fewer per worker
     return sigma, achieved, converged, conditionals(np.arange(n), sigma, buffers[0])
 
@@ -620,9 +597,9 @@ def tsne_calibration(dataset: Dataset, perplexity: float) -> BandwidthCalibratio
     """
     count = neighbor_count("tsne", dataset.n, perplexity)
     cal, conditionals = _parts("tsne", exact_knn(dataset, count), perplexity, None)
-    # a converged row's bisection may end on the screen's value; its exact
-    # value is that of its conditionals, the p of its last step
-    cal.achieved[cal.converged] = _perplexities(conditionals[cal.converged])
+    # a row's bisection or clamp may end on the screen's value; its exact
+    # value is that of its conditionals, taken at its final sigma
+    cal.achieved[:] = _perplexities(conditionals)
     return cal
 
 
@@ -799,10 +776,10 @@ def _umap_rows(distances: np.ndarray, target: float):
     # all candidates at distance rho: membership sum is k for any sigma
     degenerate = adj.max(axis=1) == 0.0
 
-    def row_objective(rows, sigma):
+    def objective(rows, sigma):
         return np.exp(-adj[rows] / sigma[:, None]).sum(axis=1)
 
-    sigma, achieved, converged = _bisect_bandwidth(row_objective, n, target, skip=degenerate)
+    sigma, achieved, converged = _bisect_bandwidth(objective, n, target, skip=degenerate)
     sigma[degenerate] = 1.0
     achieved[degenerate] = float(n_neighbors)
     return sigma, achieved, converged, np.exp(-adj / sigma[:, None])
@@ -1117,8 +1094,9 @@ def _graph(path: Path, doc: dict, *edges) -> RelationshipGraph:
         except GraphError as exc:
             fault = str(exc)
     try:
-        # the edges before a waiting fault go first, as they are read in order
-        graph = RelationshipGraph(n, ei, ej, w, provenance)
+        # the edges before a waiting fault go first, as they are read in order;
+        # the arrays are the readers' own, so the graph takes them uncopied
+        graph = RelationshipGraph._adopt(n, ei, ej, w, provenance)
     except GraphError as exc:
         raise GraphError(f"{path}: {exc}") from None
     if fault is not None:

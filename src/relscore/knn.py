@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset, integer_values
+from .datasets import Dataset, _shown, integer_values
 
 __all__ = [
     "NeighborLists", "KnnError", "block_rows", "check_threads", "euclidean",
@@ -102,12 +102,13 @@ class NeighborLists:
         return self.indices.shape[0]
 
     def prefix(self, k: int) -> NeighborLists:
-        """The k nearest per vertex, as contiguous copies of the first k columns.
+        """The k nearest per vertex: read-only contiguous copies of the first
+        k columns, or at full width read-only views of these lists' arrays.
 
         Lists ordered by (squared distance, id) make this exactly what a
         k-query would return.
         """
-        k = int(k)
+        k = _integer(k, "prefix k")
         if not 1 <= k <= self.k:
             raise KnnError(f"prefix k must be in [1, {self.k}], got {k}")
         # columns of checked lists pass every check: build without re-checking
@@ -128,7 +129,8 @@ def _check_lists(indices, distances, k) -> None:
                        "float64 array")
     n = indices.shape[0] if indices.ndim == 2 else 0
     if not (indices.ndim == 2 and distances.shape == indices.shape
-            and isinstance(k, (int, np.integer)) and 1 <= k == indices.shape[1] < n):
+            and isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+            and 1 <= k == indices.shape[1] < n):
         raise KnnError(f"neighbor arrays must both be (N, k) with 1 <= k < N, got "
                        f"{indices.shape} and {distances.shape} for k={k!r}")
     # per rule, the entries that keep it, in the order the messages rank
@@ -173,11 +175,17 @@ def check_threads(threads: int | None) -> int:
     """The worker-thread cap `threads` stands for: None means the usable cores."""
     if threads is None:
         return usable_cores()
-    raw, not_int = integer_values(threads)
-    if raw.ndim or not_int.any():
-        raise KnnError(f"threads must be an integer, got {threads}")
-    if threads < 1:
+    count = _integer(threads, "threads")
+    if count < 1:
         raise KnnError(f"threads must be positive, got {threads}")
+    return count
+
+
+def _integer(value, name: str) -> int:
+    """Scalar integer `value` as an int; else a KnnError that names it."""
+    raw, not_int = integer_values(value)
+    if raw.ndim or not_int.any():
+        raise KnnError(f"{name} must be an integer, got {_shown(value)}")
     return int(raw)
 
 
@@ -299,7 +307,7 @@ def exact_knn(dataset: Dataset, k: int, *, threads: int | None = None) -> Neighb
     never more than there are blocks); it never changes the result.
     """
     n = dataset.n
-    k = int(k)
+    k = _integer(k, "k")
     if not 1 <= k <= n - 1:
         raise KnnError(f"k must be in [1, {n - 1}], got {k}")
     chunk = max(1, 2 * _BLOCK_DOUBLES // n)  # a float32 is half a double

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import Dataset, LabelAssignment, integer_values
+from .datasets import Dataset, LabelAssignment, _shown, integer_values
 from .graphs import GraphError, _check_method, build_graph, shared_neighbors
 from .graphs import build_tsne_graph  # not called: the benchmark's tracer test reads it
 from .metrics import MetricConfig, MetricsError, _balanced_mean, _label_fscores
@@ -62,9 +62,10 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("k_min", "k_max", "n_init", "budget", "seed"):
             value = getattr(self, name)
-            if integer_values(value)[1].any():
-                raise OptimizerError(f"{name} must be an integer, got {value}")
-            object.__setattr__(self, name, int(value))
+            raw, not_int = integer_values(value)
+            if raw.ndim or not_int.any():
+                raise OptimizerError(f"{name} must be an integer, got {_shown(value)}")
+            object.__setattr__(self, name, int(raw))
         if not 2 <= self.k_min < self.k_max:
             raise OptimizerError(
                 f"need 2 <= k_min < k_max, got [{self.k_min}, {self.k_max}]"

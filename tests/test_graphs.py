@@ -905,6 +905,37 @@ class TestLoadMemory:
         assert peak <= 100 * graph.n_edges
 
 
+class TestLoadHandOver:
+    """Both readers hand their fresh edge arrays to the graph through
+    `_adopt`, which keeps them without a copy."""
+
+    @pytest.mark.parametrize("layout", ["saved", "reformatted"])
+    def test_readers_adopt_their_arrays(self, large_graph, tmp_path, monkeypatch, layout):
+        path = tmp_path / "g.json"
+        save_graph(large_graph, path)
+        if layout == "reformatted":  # read as one document
+            path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+        assert (graphs_module._saved_edges(path) is None) == (layout == "reformatted")
+        handed, real = [], RelationshipGraph._adopt
+
+        def recording(n, ei, ej, w, provenance):
+            handed.append((ei, ej, w))
+            return real(n, ei, ej, w, provenance)
+
+        def copying(self):
+            raise AssertionError("the public constructor copies the arrays")
+
+        monkeypatch.setattr(RelationshipGraph, "_adopt", recording)
+        monkeypatch.setattr(RelationshipGraph, "__post_init__", copying)
+        loaded = load_graph(path)
+        (ei, ej, w), = handed
+        for stored, given, want in zip((loaded.edges_i, loaded.edges_j, loaded.weights),
+                                       (ei, ej, w), (large_graph.edges_i,
+                                                     large_graph.edges_j, large_graph.weights)):
+            assert np.shares_memory(stored, given) and not stored.flags.writeable
+            assert stored.dtype == want.dtype and stored.tobytes() == want.tobytes()
+
+
 def lexsort_edges(ei, ej, w):
     """The edge order the constructor once built with a lexsort."""
     ei, ej = np.asarray(ei).astype(np.int64), np.asarray(ej).astype(np.int64)
@@ -1368,12 +1399,16 @@ class TestBlockedCalibration:
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def check_calibration(self, got, want, conditionals=None):
-        # given t-SNE conditionals, a converged row's achieved value is taken
-        # from them: `_parts` may keep the entropy screen's value there
+        # given t-SNE conditionals, every row's achieved value is taken from
+        # them: `_parts` may keep the entropy screen's value, in the exact
+        # value's band, at a converged or a clamped row
         achieved = got.achieved
         if conditionals is not None:
-            achieved = achieved.copy()
-            achieved[got.converged] = graphs_module._perplexities(conditionals[got.converged])
+            assert (np.abs(achieved[got.converged] - got.target) <= CALIBRATION_TOL).all()
+            clamped = ~got.converged
+            assert ((achieved[clamped] < got.target)
+                    == (want.achieved[clamped] < want.target)).all()
+            achieved = graphs_module._perplexities(conditionals)
         self.same(achieved, want.achieved)
         for name in ("sigma", "converged"):
             self.same(getattr(got, name), getattr(want, name))
@@ -1531,6 +1566,75 @@ class TestScaleSafeCalibration:
 
 
 @st.composite
+def bisection_rows(draw):
+    """A target and, per row, an exact objective f = offset + slope *
+    log10(sigma) + height * (1 if log10(sigma) >= root else -1), its kind
+    and a seed.
+
+    Each row's target is in reach, out of reach below the objective (the
+    row clamps at the lower bound) or above it (the upper bound), or the
+    row is skipped.  A "jump" row's objective steps from target - 1 to
+    target + 1 at its root, so it never comes within the tolerance: the
+    row clamps on the side its last step points to, where the value
+    differs from that step's.
+    """
+    n = draw(st.integers(1, 12))
+    target = draw(st.floats(-10.0, 10.0))
+    kinds = np.array(draw(st.lists(st.sampled_from(["reach", "low", "high", "jump", "skip"]),
+                                   min_size=n, max_size=n)))
+    slope = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n)))
+    root = np.array(draw(st.lists(st.floats(-19.5, 19.5), min_size=n, max_size=n)))
+    gap = np.array(draw(st.lists(st.floats(2.0, 100.0), min_size=n, max_size=n)))
+    reach = 20.0 * slope + gap * CALIBRATION_TOL  # past the window's end by gap tol
+    jump = kinds == "jump"
+    offset = np.select([kinds == "low", kinds == "high", jump],
+                       [target + reach, target - reach, target], target - slope * root)
+    slope[jump] = 0.0
+    return offset, slope, root, jump.astype(float), target, kinds, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBisectBandwidth:
+    """`_bisect_bandwidth`'s one callback: any value in the exact value's band."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(bisection_rows())
+    def test_a_step_in_the_exact_band_is_bitwise_the_exact_bisection(self, case):
+        offset, slope, root, height, target, kinds, seed = case
+        skip = kinds == "skip"
+        rng = np.random.Generator(np.random.PCG64(seed))
+        tol, clear = CALIBRATION_TOL, 2.0 ** -10
+
+        def exact(rows, sigma):
+            lg = np.log10(sigma)
+            return (offset[rows] + slope[rows] * lg
+                    + height[rows] * np.where(lg >= root[rows], 1.0, -1.0))
+
+        def band(values):
+            return np.where(np.abs(values - target) <= tol, 0.0, np.sign(values - target))
+
+        def adversarial(rows, sigma):  # a random value strictly inside the exact one's band
+            assert not skip[rows].any()
+            r = rng.random(rows.size)
+            side = band(exact(rows, sigma))
+            return np.where(side == 0.0, target + tol * (2.0 * r - 1.0) * (1.0 - clear),
+                            target + side * tol * (1.0 + clear + 8.0 * r))
+
+        n = offset.size
+        got = graphs_module._bisect_bandwidth(adversarial, n, target, skip)
+        want = graphs_module._bisect_bandwidth(exact, n, target, skip)
+        for a, b in zip(got[::2], want[::2]):  # sigma and converged
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.isnan(got[1][skip]).all() and np.isnan(want[1][skip]).all()
+        assert (band(got[1]) == band(want[1]))[~skip].all()
+        # each row ended as drawn: converged, or clamped at the bound it was drawn past
+        assert (want[2] == (kinds == "reach")).all()
+        assert (want[0][kinds == "low"] == 1e-20).all() and (want[0][kinds == "high"] == 1e20).all()
+        clamped = np.flatnonzero(~want[2] & ~skip)  # the value is the one at the bound
+        assert np.isin(want[0][clamped], (1e-20, 1e20)).all()
+        assert want[1][clamped].tobytes() == exact(clamped, want[0][clamped]).tobytes()
+
+
+@st.composite
 def distance_rows(draw):
     """Sorted candidate distance rows for the t-SNE bisection, and a perplexity.
 
@@ -1583,12 +1687,13 @@ class TestEntropyScreen:
         with np.errstate(all="ignore"):
             got = graphs_module._tsne_rows(distances, perplexity)
             want = exact_tsne_rows(distances, perplexity)
-        # a converged row may keep the screen's achieved value, in the exact
-        # value's band; its exact value is that of its returned conditionals
+        # a row may keep the screen's achieved value, in the exact value's
+        # band; its exact value is that of its returned conditionals
         converged, conditionals = got[2], got[3]
-        achieved = got[1].copy()
-        assert (np.abs(achieved[converged] - perplexity) <= CALIBRATION_TOL).all()
-        achieved[converged] = graphs_module._perplexities(conditionals[converged])
+        assert (np.abs(got[1][converged] - perplexity) <= CALIBRATION_TOL).all()
+        with np.errstate(all="ignore"):
+            achieved = graphs_module._perplexities(conditionals)
+            assert ((got[1] < perplexity)[~converged] == (want[1] < perplexity)[~converged]).all()
         for a, b in zip((got[0], achieved, converged, conditionals), want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -1627,24 +1732,22 @@ class TestEntropyScreen:
 
     def test_few_row_evaluations_take_the_exact_path(self, blobs, monkeypatch):
         # the screen settles every step of a blobs build, within or beyond tol;
-        # tsne_calibration evaluates each converged row once more, exactly
+        # tsne_calibration evaluates each row once more, exactly
         exact, evaluations = [], []
-        real_xlogy, real_bisect = graphs_module.xlogy, graphs_module._bisect_bandwidth
+        real_exact, real_bisect = graphs_module._perplexities, graphs_module._bisect_bandwidth
 
-        def counting_xlogy(x, y):
-            exact.append(x.shape[0])
-            return real_xlogy(x, y)
+        def counting_exact(p):
+            exact.append(p.shape[0])
+            return real_exact(p)
 
-        def counting_bisect(row_objective, n, target, skip=None, step=None):
-            assert step is not None
-
+        def counting_bisect(step, n, target, skip=None):
             def counted_step(rows, sigma):
                 evaluations.append(rows.size)
                 return step(rows, sigma)
 
-            return real_bisect(row_objective, n, target, skip, counted_step)
+            return real_bisect(counted_step, n, target, skip)
 
-        monkeypatch.setattr(graphs_module, "xlogy", counting_xlogy)
+        monkeypatch.setattr(graphs_module, "_perplexities", counting_exact)
         monkeypatch.setattr(graphs_module, "_bisect_bandwidth", counting_bisect)
         data, _ = blobs
         for perplexity in (5.0, 30.0):
@@ -1661,25 +1764,29 @@ class TestEntropyScreen:
 
 
 class TestXlogy:
-    """graphs.xlogy, libm's log through math.log, bitwise against scipy.special.xlogy."""
+    """`_perplexities`, whose p ln p takes libm's log through math.log,
+    bitwise against 2 to the entropy from scipy.special.xlogy(p, p)."""
 
     @staticmethod
-    def same_bits(x, y):
-        got, want = graphs_module.xlogy(x, y), xlogy(x, y)
+    def same_bits(p):
+        got = graphs_module._perplexities(p)
+        want = np.exp2(-xlogy(p, p).sum(axis=1) / math.log(2.0))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     def test_zeros_subnormals_and_one(self):
         tiny = np.finfo(float).tiny
-        values = np.array([0.0, 5e-324, tiny / 3, tiny, 1e-300, 0.5, 1.0, 2.0, 1e300])
-        x, y = np.meshgrid(values, np.append(values, np.inf))
-        # x = 0 gives 0 at any y, x > 0 at y = 0 gives -inf
-        self.same_bits(x, y)
+        values = np.array([0.0, 5e-324, tiny / 3, tiny, 1e-300, 0.5, 1.0, 2.0, 1e300,
+                           np.inf, np.nan])
+        # every pair of values as a row: p = 0 gives 0 and NaN gives NaN
+        x, y = np.meshgrid(values, values)
+        with np.errstate(invalid="ignore"):  # inf - inf in scipy's sum
+            self.same_bits(np.stack((x.ravel(), y.ravel()), axis=1))
 
     def test_uniform_values_across_chunks(self):
         values = np.random.Generator(np.random.PCG64(26)).random(3 * graphs_module._LOG_CHUNK + 5)
-        self.same_bits(values, values)
-        self.same_bits(values[::-1], values)
+        self.same_bits((values / values.sum()).reshape(1, -1))  # one row across chunks
+        self.same_bits(values[:-5].reshape(-1, 3))
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 30.0, 1e4])
     def test_conditional_rows(self, c):
@@ -1689,8 +1796,4 @@ class TestXlogy:
         e = np.exp(-(d2 - d2[:, :1]) / c)
         p = e / e.sum(axis=1, keepdims=True)
         assert c > 1e-3 or ((p > 0) & (p < np.finfo(float).tiny)).any() and (p == 0).any()
-        self.same_bits(p, p)
-
-    def test_negative_or_nan_y_gives_nan(self):
-        x, y = np.meshgrid([0.0, 0.5], [-1.0, np.nan, 0.0, 1.0])
-        np.testing.assert_array_equal(graphs_module.xlogy(x, y), xlogy(x, y))
+        self.same_bits(p)

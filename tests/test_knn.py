@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -41,6 +42,12 @@ class TestEuclidean:
     def test_dimension_mismatch(self):
         with pytest.raises(KnnError, match="dimension mismatch"):
             euclidean([1.0], [1.0, 2.0])
+
+
+# k values that are no integer, as the message shows them: int() would read
+# 2.7 as 2, True as 1 and "3" as 3
+NOT_INTEGERS = [(2.7, "2.7"), (True, "True"), (np.True_, "True"), ("3", "'3'"),
+                (None, "None"), ([3], "[3]"), (np.array([3]), "array([3])")]
 
 
 class TestExactKnn:
@@ -114,6 +121,12 @@ class TestExactKnn:
         with pytest.raises(KnnError, match="k must be in"):
             exact_knn(data, k)
 
+    @pytest.mark.parametrize("k, shown", NOT_INTEGERS)
+    def test_k_that_is_no_integer_refused(self, k, shown):
+        data = Dataset(np.array([[0.0], [1.0], [2.0], [4.0], [8.0]]))
+        with pytest.raises(KnnError, match=f"^k must be an integer, got {re.escape(shown)}$"):
+            exact_knn(data, k)
+
 
 class TestSelectionKernel:
     def test_matches_full_stable_argsort_with_ties_and_inf(self):
@@ -154,6 +167,22 @@ class TestPrefix:
         part = exact_knn(Dataset(rng.random((20, 2))), 9).prefix(4)
         for arr in (part.indices, part.distances):
             assert arr.flags.c_contiguous and not arr.flags.writeable
+
+    def test_full_width_prefix_is_a_read_only_view(self):
+        rng = np.random.Generator(np.random.PCG64(12))
+        nbrs = exact_knn(Dataset(rng.random((20, 2))), 9)
+        part = nbrs.prefix(9)
+        for arr, full in ((part.indices, nbrs.indices), (part.distances, nbrs.distances)):
+            assert arr.base is not None and np.shares_memory(arr, full)
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("k, shown", NOT_INTEGERS)
+    def test_prefix_k_that_is_no_integer_refused(self, k, shown):
+        rng = np.random.Generator(np.random.PCG64(13))
+        nbrs = exact_knn(Dataset(rng.random((10, 2))), 5)
+        with pytest.raises(KnnError,
+                           match=f"^prefix k must be an integer, got {re.escape(shown)}$"):
+            nbrs.prefix(k)
 
     @pytest.mark.parametrize("k", [0, 6])
     def test_prefix_out_of_range(self, k):
@@ -430,6 +459,7 @@ class TestNeighborListChecks:
             ((indices[:6], distances[:6], 6), r"\(N, k\) with 1 <= k < N"),
             ((indices[0], distances[0], 6), r"\(N, k\) with 1 <= k < N"),
             ((indices, distances, 6.0), r"\(N, k\) with 1 <= k < N"),
+            ((indices[:, :1], distances[:, :1], True), r"\(N, k\) with 1 <= k < N"),
         ):
             with pytest.raises(KnnError, match=message):
                 NeighborLists(*args)

@@ -227,3 +227,13 @@ class TestEstimate:
         with pytest.raises(OptimizerError) as exc:
             OptimizerConfig(k_min=2, k_max=10, n_init=True)
         assert str(exc.value) == "n_init must be an integer, got True"
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("k_min", np.array([5]), "array([5])"), ("k_min", [5, 6], "[5, 6]"),
+        ("n_init", "3", "'3'"), ("budget", None, "None"), ("seed", 1.5, "1.5"),
+    ])
+    def test_count_that_is_no_integer_scalar_rejected(self, field, value, shown):
+        config = {"k_min": 5, "k_max": 10, field: value}
+        with pytest.raises(OptimizerError) as exc:
+            OptimizerConfig(**config)
+        assert str(exc.value) == f"{field} must be an integer, got {shown}"
